@@ -22,9 +22,9 @@ compiled network shared per routed topology — the reference oracle
 with identical results, or the batched turbo engine: statistically
 validated against the reference rather than bit-exact, and without
 fault-schedule support).  ``simulate`` additionally takes ``--seeds N``
-(N seed replicas per rate, advanced together by the batched
-multi-replica engine, reported as mean +- 95% CI) and ``--batch``
-(force the batched path for a single seed).  The flags cover the
+(N seed replicas per rate, reported as mean +- 95% CI; on the exact
+engines they combine with ``--faults``, and turbo advances each wave's
+replicas as lanes of one batched call).  The flags cover the
 open-loop sweeps
 (fig6/7/10/11) and the full-system closed-loop PARSEC sweep (``repro
 run fig8``), whose (benchmark, topology) runs fan out and cache the
@@ -257,42 +257,33 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
     rates = [args.max_rate * (k + 1) / args.points for k in range(args.points)]
-    n_seeds = max(1, args.seeds)
-    use_batch = args.batch or n_seeds > 1
     if faults is not None and args.engine == "turbo":
         raise SystemExit(
             "--engine turbo does not support --faults; use the exact "
             "engines (fast/reference) for degraded networks"
         )
-    if faults is not None and use_batch:
-        raise SystemExit(
-            "--seeds/--batch route the sweep through the batched engine, "
-            "which does not support --faults; drop one or the other"
-        )
     runner = _make_runner(args)
-    from .runner import QuarantineError
+    from .runner import CurveJob, QuarantineError
 
+    n_seeds = max(1, args.seeds)
+    seeds = [args.seed + k for k in range(n_seeds)]
+    jobs = [
+        CurveJob(
+            table=table, traffic=spec, rates=tuple(rates),
+            name=table.topology.name,
+            link_class=args.link_class or topo.link_class,
+            warmup=args.warmup, measure=args.measure, seed=seed,
+            faults=faults,
+        )
+        for seed in seeds
+    ]
     try:
-        if use_batch:
-            mode = "turbo" if args.engine == "turbo" else "exact"
-            seeds = [args.seed + k for k in range(n_seeds)]
-            curves = runner.multi_seed_curves(
-                table, spec, rates, seeds,
-                link_class=args.link_class or topo.link_class,
-                warmup=args.warmup, measure=args.measure, mode=mode,
-            )
-            curve = curves[seeds[0]]
-        else:
-            curve = runner.curve(
-                table, spec, rates,
-                link_class=args.link_class or topo.link_class,
-                warmup=args.warmup, measure=args.measure, seed=args.seed,
-                faults=faults,
-            )
+        curves = dict(zip(seeds, runner.curves(jobs)))
     except QuarantineError as exc:
         _report_quarantine(runner, exc)
         _print_health(runner, args)
         return 2
+    curve = curves[seeds[0]]
     if n_seeds > 1:
         from .sim import summarize_replicas
 
@@ -635,15 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--measure", type=int, default=1200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--seeds", type=int, default=1, metavar="N",
-                   help="seed replicas per rate (seeds SEED..SEED+N-1); "
-                        "N>1 runs every replica through the batched "
-                        "multi-replica engine in fused seed x rate waves "
-                        "and prints mean +- 95%% CI per rate "
-                        "(incompatible with --faults)")
-    s.add_argument("--batch", action="store_true",
-                   help="route the sweep through the batched engine even "
-                        "for a single seed (exact mode unless --engine "
-                        "turbo; incompatible with --faults)")
+                   help="seed replicas per rate (seeds SEED..SEED+N-1), "
+                        "printed as mean +- 95%% CI per rate; every "
+                        "replica is an independent run of --engine "
+                        "(turbo fuses each wave's replicas into one "
+                        "batched call)")
     _add_runner_flags(s)
     s.set_defaults(fn=cmd_simulate)
 

@@ -21,8 +21,10 @@ trailing record, which the scanner skips.
 
 On open, the previous run's journal is scanned first: keys declared in
 a ``wave`` but never ``done``/``quarantined`` are the **interrupted**
-set (reported via ``RunHealth.interrupted``), and ``done`` keys the new
-run re-reads from cache count as **resumed**.  The file is then
+set (reported via ``RunHealth.interrupted``), and declared keys the new
+run re-reads from cache count as **resumed** — including interrupted
+ones, since a kill between a result's cache write and its ``done`` line
+leaves a finished task the journal never confirmed.  The file is then
 truncated and a fresh run header written — the journal describes one
 run, the cache describes all of them.
 """

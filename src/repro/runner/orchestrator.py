@@ -192,7 +192,12 @@ class Runner:
         if journal and self.cache is not None:
             self.journal = RunJournal(os.path.join(self.cache.root, JOURNAL_NAME))
             self.executor.health.interrupted = len(self.journal.prior_interrupted)
-            self._resumable = set(self.journal.prior_done)
+            # Every key the killed run declared: results are cached
+            # before they are journaled done, so a kill between the two
+            # leaves a finished task with no ``done`` line.
+            self._resumable = (
+                self.journal.prior_done | self.journal.prior_interrupted
+            )
 
     # -- introspection -------------------------------------------------------
     @property
@@ -283,7 +288,7 @@ class Runner:
             for i, key in enumerate(keys):
                 results[i] = self.cache.get(key)
                 if results[i] is not MISS and key in self._resumable:
-                    # A hit the previous (killed) run journaled as done.
+                    # A hit the previous (killed) run computed.
                     self._resumable.discard(key)
                     self.executor.health.resumed += 1
         todo = [i for i, r in enumerate(results) if r is MISS]
@@ -344,6 +349,12 @@ class Runner:
         work; at any worker count the assembled curves are identical
         (measurements are independent and classification is shared with
         :func:`repro.sim.sweep.assemble_curve`).
+
+        Seed replicas are one job per seed.  Within a wave, fault-free
+        ``turbo`` points run as lanes of batched engine calls, one per
+        shared table, traffic spec and budget, cached under their
+        per-point keys (see :meth:`_turbo_lanes`); every other point is
+        a ``sim_point`` task.
         """
         jobs = list(jobs)
         collected: List[List[Any]] = [[] for _ in jobs]  # stats per job, in rate order
@@ -354,18 +365,12 @@ class Runner:
             # Enough tasks per wave to occupy every worker, but no more
             # speculation past a potential saturation point than needed.
             per_job = max(1, -(-self.executor.workers // len(live)))
-            wave: List[Tuple[int, Dict[str, Any]]] = []
-            for i in live:
-                job = jobs[i]
-                for rate in job.rates[cursor[i]: cursor[i] + per_job]:
-                    wave.append((i, tasks.sim_point_payload(
-                        job.table, job.traffic, rate,
-                        job.warmup, job.measure, job.seed, job.sim_kw,
-                        engine=job.engine or self.engine,
-                        faults=job.faults,
-                    )))
-            stats_list = self.run_tasks("sim_point", [p for _, p in wave])
-            for (i, _), stats in zip(wave, stats_list):
+            wave = [
+                (i, rate)
+                for i in live
+                for rate in jobs[i].rates[cursor[i]: cursor[i] + per_job]
+            ]
+            for (i, _), stats in zip(wave, self._measure_wave(jobs, wave)):
                 collected[i].append(stats)
                 cursor[i] += 1
             # Retire curves whose computed prefix already saturates (or
@@ -390,6 +395,37 @@ class Runner:
             )
             for i, job in enumerate(jobs)
         ]
+
+    def _measure_wave(
+        self, jobs: Sequence[CurveJob], wave: Sequence[Tuple[int, float]]
+    ) -> List[Any]:
+        """Stats for one wave of ``(job index, rate)`` points, in order:
+        fault-free turbo points as batched lanes, the rest as
+        ``sim_point`` tasks."""
+        out: List[Any] = [None] * len(wave)
+        fused: List[int] = []
+        points: List[int] = []
+        for k, (i, _) in enumerate(wave):
+            turbo = (jobs[i].engine or self.engine) == "turbo"
+            (fused if turbo and jobs[i].faults is None else points).append(k)
+        if points:
+            payloads = []
+            for k in points:
+                job = jobs[wave[k][0]]
+                payloads.append(tasks.sim_point_payload(
+                    job.table, job.traffic, wave[k][1],
+                    job.warmup, job.measure, job.seed, job.sim_kw,
+                    engine=job.engine or self.engine,
+                    faults=job.faults,
+                ))
+            for k, stats in zip(points, self.run_tasks("sim_point", payloads)):
+                out[k] = stats
+        if fused:
+            lanes = [(jobs[wave[k][0]], wave[k][1], jobs[wave[k][0]].seed)
+                     for k in fused]
+            for k, stats in zip(fused, self._turbo_lanes(lanes)):
+                out[k] = stats
+        return out
 
     def curve(
         self,
@@ -431,130 +467,76 @@ class Runner:
         lanes: Sequence[Tuple[float, int]],
         warmup: int,
         measure: int,
-        mode: str = "turbo",
         sim_kw: Optional[Dict[str, Any]] = None,
     ) -> List[Any]:
-        """Measure ``(rate, seed)`` lanes through the batched engine with
+        """Measure ``(rate, seed)`` lanes of one table through the batched
+        turbo engine, cached per point (see :meth:`_turbo_lanes`)."""
+        job = CurveJob(
+            table=table, traffic=traffic, rates=(), name="",
+            warmup=warmup, measure=measure, sim_kw=dict(sim_kw or {}),
+        )
+        return self._turbo_lanes([(job, float(r), int(s)) for r, s in lanes])
+
+    def _turbo_lanes(
+        self, lanes: Sequence[Tuple[CurveJob, float, int]]
+    ) -> List[Any]:
+        """Turbo stats for ``(job, rate, seed)`` lanes, in order, with
         *per-point* cache identity.
 
-        Every lane is keyed as the single ``sim_point`` payload it is
-        equivalent to (engine ``"fast"`` for exact mode — bit-identical
-        by the batch contract — and ``"turbo"`` for turbo, whose lanes
-        are batch-composition-invariant).  Cached lanes are answered
-        from the store; only the misses run, chunked into ``sim_batch``
-        tasks across the pool, and each fresh lane is written back under
-        its per-point key — so a later single-point lookup hits the
-        batched result, and a batched lookup hits earlier single points.
+        Every lane is keyed as the ``engine="turbo"`` ``sim_point``
+        payload it is equivalent to (turbo lanes are
+        batch-composition-invariant).  Cached lanes are answered from
+        the store; the misses that share a table, traffic spec and
+        budget are chunked into ``sim_batch`` tasks across the pool (one
+        :meth:`run_tasks` call for all of them), and each fresh lane is
+        written back under its per-point key — so a later single-point
+        lookup hits the batched result, and a batched lookup hits
+        earlier single points.
         """
-        sim_kw = dict(sim_kw or {})
-        engine = "fast" if mode == "exact" else "turbo"
-        lanes = [(float(r), int(s)) for r, s in lanes]
-        point_keys = [
+        keys = [
             task_key("sim_point", tasks.sim_point_payload(
-                table, traffic, r, warmup, measure, s, sim_kw,
-                engine=engine,
+                job.table, job.traffic, rate, job.warmup, job.measure,
+                seed, job.sim_kw, engine="turbo",
             ))
-            for r, s in lanes
+            for job, rate, seed in lanes
         ]
         results: List[Any] = [MISS] * len(lanes)
         if self.cache is not None:
-            for i, key in enumerate(point_keys):
+            for i, key in enumerate(keys):
                 hit = self.cache.get(key)
                 if hit is not MISS:
                     results[i] = tasks.stats_from_dict(hit)
         todo = [i for i, r in enumerate(results) if r is MISS]
-        if todo:
-            slot: Dict[str, int] = {}
-            uniq: List[int] = []
-            for i in todo:
-                if point_keys[i] not in slot:
-                    slot[point_keys[i]] = len(uniq)
-                    uniq.append(i)
-            n_chunks = max(1, min(self.executor.workers, len(uniq)))
-            step = -(-len(uniq) // n_chunks)
-            groups = [
-                uniq[j: j + step] for j in range(0, len(uniq), step)
-            ]
-            payloads = [
-                tasks.sim_batch_payload(
-                    table, traffic, [lanes[i] for i in g],
-                    warmup, measure, mode, sim_kw,
-                )
-                for g in groups
-            ]
-            outs = self.run_tasks("sim_batch", payloads)
-            fresh: Dict[str, Any] = {}
-            for g, stats in zip(groups, outs):
-                for i, st in zip(g, stats):
-                    fresh[point_keys[i]] = st
-                    if self.cache is not None:
-                        self.cache.put(
-                            point_keys[i], tasks.stats_to_dict(st)
-                        )
-            for i in todo:
-                results[i] = fresh[point_keys[i]]
+        groups: Dict[Tuple[Any, ...], List[int]] = {}
+        seen: Set[str] = set()
+        for i in todo:
+            if keys[i] not in seen:
+                seen.add(keys[i])
+                job = lanes[i][0]
+                groups.setdefault((
+                    id(job.table), job.traffic, job.warmup, job.measure,
+                    json.dumps(job.sim_kw, sort_keys=True),
+                ), []).append(i)
+        chunks: List[List[int]] = []
+        for members in groups.values():
+            step = -(-len(members) // min(self.executor.workers, len(members)))
+            chunks += [members[j: j + step] for j in range(0, len(members), step)]
+        payloads = []
+        for chunk in chunks:
+            job = lanes[chunk[0]][0]
+            payloads.append(tasks.sim_batch_payload(
+                job.table, job.traffic, [lanes[i][1:] for i in chunk],
+                job.warmup, job.measure, job.sim_kw,
+            ))
+        fresh: Dict[str, Any] = {}
+        for chunk, stats in zip(chunks, self.run_tasks("sim_batch", payloads)):
+            for i, st in zip(chunk, stats):
+                fresh[keys[i]] = st
+                if self.cache is not None:
+                    self.cache.put(keys[i], tasks.stats_to_dict(st))
+        for i in todo:
+            results[i] = fresh[keys[i]]
         return results
-
-    def multi_seed_curves(
-        self,
-        table: RoutingTable,
-        traffic: tasks.TrafficSpec,
-        rates: Sequence[float],
-        seeds: Sequence[int],
-        name: Optional[str] = None,
-        link_class: Optional[str] = None,
-        warmup: int = 500,
-        measure: int = 2000,
-        mode: str = "turbo",
-        stop_after_saturation: bool = True,
-        sim_kw: Optional[Dict[str, Any]] = None,
-    ) -> Dict[int, SweepResult]:
-        """One curve per seed, advancing all live seeds one rate per
-        batched wave.
-
-        The batch engine fuses the S replicas of each rate into one
-        call (:meth:`batch_points`, so lanes cache under per-point
-        keys), while the wave structure keeps the serial sweep's
-        early-stop economy: a seed retires as soon as its ordered
-        prefix saturates, exactly like :meth:`curves` does per curve.
-        """
-        rates = [float(r) for r in rates]
-        seeds = [int(s) for s in seeds]
-        name = name or table.topology.name
-        link_class = link_class or table.topology.link_class
-        collected: Dict[int, List[Any]] = {s: [] for s in seeds}
-        cursor = {s: 0 for s in seeds}
-        live = list(seeds) if rates else []
-        while live:
-            wave = [(rates[cursor[s]], s) for s in live]
-            stats = self.batch_points(
-                table, traffic, wave, warmup, measure,
-                mode=mode, sim_kw=sim_kw,
-            )
-            for (_r, s), st in zip(wave, stats):
-                collected[s].append(st)
-                cursor[s] += 1
-            nxt = []
-            for s in live:
-                partial = assemble_curve(
-                    rates, collected[s], name=name, link_class=link_class,
-                    stop_after_saturation=stop_after_saturation,
-                )
-                saturated = (
-                    bool(partial.points) and partial.points[-1].saturated
-                )
-                if cursor[s] < len(rates) and not (
-                    stop_after_saturation and saturated
-                ):
-                    nxt.append(s)
-            live = nxt
-        return {
-            s: assemble_curve(
-                rates, collected[s], name=name, link_class=link_class,
-                stop_after_saturation=stop_after_saturation,
-            )
-            for s in seeds
-        }
 
     def saturations(self, jobs: Sequence[SaturationJob]) -> List[float]:
         """Fan whole saturation searches across workers (Figs. 7/11)."""

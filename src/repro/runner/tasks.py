@@ -396,10 +396,9 @@ def sim_batch_payload(
     lanes: List[Tuple[float, int]],
     warmup: int,
     measure: int,
-    mode: str = "turbo",
     sim_kw: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """S x R ``(rate, seed)`` lanes of one table in one engine call.
+    """S x R ``(rate, seed)`` lanes of one table in one turbo engine call.
 
     Lane order is part of the payload (results decode positionally), but
     a lane's result depends only on its own ``(rate, seed)`` — the batch
@@ -415,7 +414,6 @@ def sim_batch_payload(
         "lanes": [[float(r), int(s)] for r, s in lanes],
         "warmup": int(warmup),
         "measure": int(measure),
-        "mode": str(mode),
         "sim_kw": dict(sim_kw or {}),
     }
 
@@ -432,7 +430,6 @@ def sim_batch_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         [(r, s) for r, s in payload["lanes"]],
         payload["warmup"],
         payload["measure"],
-        mode=payload.get("mode", "turbo"),
         **payload.get("sim_kw", {}),
     )
     return {"stats": [stats_to_dict(st) for st in stats]}

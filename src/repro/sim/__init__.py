@@ -33,13 +33,11 @@ from .sweep import (
     SweepResult,
     compile_for_engine,
     find_saturation,
-    find_saturation_batch,
     latency_throughput_curve,
-    latency_throughput_curves_batch,
     run_point,
     summarize_replicas,
 )
-from .batch import BATCH_MODES, TurboNetworkSimulator, run_batch
+from .batch import TurboNetworkSimulator, run_batch
 from .burst import BURST_KINDS, BurstSpec, BurstState, parse_burst
 from .trace import TRACE_CHUNK_CYCLES, BatchTrace, TraceStream, pregenerate_batch
 from .traffic import (
@@ -90,13 +88,10 @@ __all__ = [
     "DeadlockError",
     "measure_activity",
     "latency_throughput_curve",
-    "latency_throughput_curves_batch",
     "find_saturation",
-    "find_saturation_batch",
     "summarize_replicas",
     "run_point",
     "run_batch",
-    "BATCH_MODES",
     "BatchTrace",
     "pregenerate_batch",
     "TurboNetworkSimulator",

@@ -9,22 +9,13 @@ loop over struct-of-arrays state — every per-slot quantity grows a
 leading lane axis, so one pass of array ops per cycle advances all
 lanes at once.
 
-Two modes with different contracts:
-
-* ``"exact"`` — each lane runs through today's
-  :class:`~repro.sim.fastnet.FastNetworkSimulator` against one shared
-  compile.  Per-replica draw order is preserved, so every lane is
-  bit-identical to running that (rate, seed) point on its own (the
-  differential suite pins this).  Exact mode is the batch API with
-  zero semantic risk: no slower than today, and the only savings are
-  shared compilation and batched scheduling.
-
-* ``"turbo"`` — the fused SoA loop.  All lanes' injection events are
-  pre-generated in one vectorized pass per lane
-  (:func:`~repro.sim.trace.pregenerate_batch`) and the cycle loop is
-  branch-free across lanes.  Statistically validated, not bit-exact:
-  per-point KS tests pin its latency/throughput distributions against
-  the reference engine (see ``tests/test_batch.py``).
+This is the ``turbo`` engine.  All lanes' injection events are
+pre-generated in one vectorized pass per lane
+(:func:`~repro.sim.trace.pregenerate_batch`) and the cycle loop is
+branch-free across lanes.  Turbo is statistically validated, not
+bit-exact: per-point KS tests pin its latency/throughput distributions
+against the reference engine (see ``tests/test_batch.py``).  Bit-exact
+seed replicas are per-point ``engine="fast"`` runs.
 
 What turbo gives up (the documented relaxations):
 
@@ -45,9 +36,9 @@ What turbo gives up (the documented relaxations):
    then link VCs in topology order — the same order the reference
    scans).  Both are livelock-free rotating priorities.
 
-Turbo restrictions (raise ``ValueError``): fault schedules and
-closed-loop hooks are unsupported (use exact mode), and the traffic
-pattern must carry a :class:`~repro.sim.traffic.DestSpec`.
+Restrictions (raise ``ValueError``): fault schedules and closed-loop
+hooks are unsupported (use the fast or reference engine), and the
+traffic pattern must carry a :class:`~repro.sim.traffic.DestSpec`.
 
 ``ENGINES["turbo"]`` registers :class:`TurboNetworkSimulator`, a
 single-point adapter (a 1-lane batch), so ``--engine turbo`` works
@@ -63,12 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..routing.tables import RoutingTable
-from .fastnet import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    CompiledNetwork,
-    FastNetworkSimulator,
-)
+from .fastnet import ENGINES, CompiledNetwork
 from .network import (
     DEFAULT_VC_BUFFER_FLITS,
     LINK_LATENCY,
@@ -77,8 +63,6 @@ from .network import (
 )
 from .trace import BatchTrace, pregenerate_batch
 from .traffic import TrafficPattern
-
-BATCH_MODES = ("exact", "turbo")
 
 #: "Never" sentinel in the dense int32 gate arrays (far beyond any
 #: cycle count, with headroom so ``_BIG + small`` cannot overflow).
@@ -169,7 +153,7 @@ def _run_turbo(
     if flow.size and not cn.flow_ok_np[flow].all():
         raise ValueError(
             "turbo mode requires a fully-routable table (no fault "
-            "schedules); use exact mode for degraded tables"
+            "schedules); use engine='fast' for degraded tables"
         )
     if ev_size.size and int(ev_size.max()) >= 64:
         raise ValueError("turbo mode packs sizes in 6 bits (flits < 64)")
@@ -400,13 +384,11 @@ def run_batch(
     lanes: Sequence[Tuple[float, int]],
     warmup: int,
     measure: int,
-    mode: str = "turbo",
     vc_buffer_flits: int = DEFAULT_VC_BUFFER_FLITS,
     router_latency: int = ROUTER_LATENCY,
     link_latency: int = LINK_LATENCY,
     extra_hop_latency: int = 0,
     compiled: Optional[CompiledNetwork] = None,
-    faults=None,
 ) -> List[SimStats]:
     """Measure every ``(rate, seed)`` lane of one table in one call.
 
@@ -415,33 +397,7 @@ def run_batch(
     never changes it (tests pin this), so results are cacheable under
     per-point keys.
     """
-    if mode not in BATCH_MODES:
-        raise ValueError(
-            f"unknown batch mode {mode!r}: expected one of {BATCH_MODES}"
-        )
     lanes = [(float(r), int(s)) for r, s in lanes]
-    if mode == "exact":
-        if compiled is None and faults is None:
-            compiled = CompiledNetwork.for_table(table)
-        return [
-            FastNetworkSimulator(
-                table,
-                traffic,
-                rate,
-                seed=seed,
-                vc_buffer_flits=vc_buffer_flits,
-                router_latency=router_latency,
-                link_latency=link_latency,
-                extra_hop_latency=extra_hop_latency,
-                compiled=compiled,
-                faults=faults,
-            ).run(warmup, measure)
-            for rate, seed in lanes
-        ]
-    if faults is not None:
-        raise ValueError(
-            "turbo mode does not support fault schedules; use mode='exact'"
-        )
     if compiled is None:
         compiled = CompiledNetwork.for_table(table)
     elif compiled.table is not table:
@@ -522,7 +478,6 @@ class TurboNetworkSimulator:
             [(self.rate, self.seed)],
             warmup,
             measure,
-            mode="turbo",
             vc_buffer_flits=self.vc_cap,
             router_latency=self.router_latency,
             link_latency=self.link_latency,

@@ -296,138 +296,6 @@ def find_saturation(
     return a
 
 
-def latency_throughput_curves_batch(
-    table: RoutingTable,
-    traffic: TrafficPattern,
-    rates: Sequence[float],
-    seeds: Sequence[int],
-    name: Optional[str] = None,
-    link_class: Optional[str] = None,
-    warmup: int = 500,
-    measure: int = 2000,
-    mode: str = "turbo",
-    stop_after_saturation: bool = True,
-    **sim_kw,
-) -> Dict[int, SweepResult]:
-    """One :class:`SweepResult` per seed from a single batched engine call.
-
-    All ``len(seeds) x len(rates)`` lanes advance through one
-    :func:`~repro.sim.batch.run_batch` invocation; each seed's curve is
-    then assembled by the same :func:`assemble_curve` the serial sweep
-    uses, so classification and early-stop truncation are identical.
-    In ``mode="exact"`` every curve is bit-identical to calling
-    :func:`latency_throughput_curve` with that seed (the batch trades
-    the serial sweep's early-stop skipping for lane fusion: rates past
-    saturation are simulated, then truncated away).
-    """
-    from .batch import run_batch
-
-    rates = [float(r) for r in rates]
-    seeds = [int(s) for s in seeds]
-    lanes = [(r, s) for s in seeds for r in rates]
-    stats = run_batch(
-        table, traffic, lanes, warmup, measure, mode=mode, **sim_kw
-    )
-    nr = len(rates)
-    return {
-        s: assemble_curve(
-            rates,
-            stats[i * nr:(i + 1) * nr],
-            name=name or table.topology.name,
-            link_class=link_class or table.topology.link_class,
-            stop_after_saturation=stop_after_saturation,
-        )
-        for i, s in enumerate(seeds)
-    }
-
-
-def find_saturation_batch(
-    table: RoutingTable,
-    traffic: TrafficPattern,
-    seeds: Sequence[int],
-    lo: float = 0.01,
-    hi: float = 1.0,
-    iters: int = 6,
-    warmup: int = 400,
-    measure: int = 1200,
-    mode: str = "turbo",
-    **sim_kw,
-) -> Dict[int, float]:
-    """Batched probe ladder: bisect saturation for all seeds at once.
-
-    Replays :func:`find_saturation`'s bracket logic per seed, but each
-    bisection wave gathers every live seed's next probe into one
-    :func:`~repro.sim.batch.run_batch` call — S seeds cost S-fold fewer
-    engine invocations, not S independent searches.  Per-seed probes are
-    memoized by rate exactly like the scalar search, so in
-    ``mode="exact"`` the returned rate is bit-identical to calling
-    :func:`find_saturation` seed by seed.
-    """
-    from .batch import run_batch
-
-    seeds = [int(s) for s in seeds]
-    lo, hi = float(lo), float(hi)
-    probes: Dict[int, Dict[float, SimStats]] = {s: {} for s in seeds}
-
-    def wave(pairs: List[tuple]) -> None:
-        todo = [(r, s) for r, s in pairs if r not in probes[s]]
-        if todo:
-            stats = run_batch(
-                table, traffic, todo, warmup, measure, mode=mode, **sim_kw
-            )
-            for (r, s), st in zip(todo, stats):
-                probes[s][r] = st
-
-    wave([(lo, s) for s in seeds])
-    result: Dict[int, float] = {}
-    zero_load: Dict[int, float] = {}
-    live: List[int] = []
-    for s in seeds:
-        base = probes[s][lo]
-        zl = base.avg_latency_cycles
-        if not np.isfinite(zl):
-            result[s] = 0.0
-            continue
-        if (
-            base.deliverable_packets_node_cycle > 0
-            and base.throughput_packets_node_cycle
-            < ACCEPTANCE_FLOOR * base.deliverable_packets_node_cycle
-        ):
-            result[s] = 0.0
-            continue
-        zero_load[s] = zl
-        live.append(s)
-
-    def saturated(s: int, rate: float) -> bool:
-        st = probes[s][rate]
-        lat = st.avg_latency_cycles
-        return (
-            not np.isfinite(lat)
-            or lat > SATURATION_LATENCY_FACTOR * zero_load[s]
-            or st.throughput_packets_node_cycle
-            < ACCEPTANCE_FLOOR * st.deliverable_packets_node_cycle
-        )
-
-    wave([(hi, s) for s in live])
-    bracket: Dict[int, tuple] = {}
-    for s in live:
-        if not saturated(s, hi):
-            result[s] = hi
-        else:
-            bracket[s] = (lo, hi)
-    for _ in range(iters):
-        if not bracket:
-            break
-        mids = {s: 0.5 * (a + b) for s, (a, b) in bracket.items()}
-        wave([(m, s) for s, m in mids.items()])
-        for s, m in mids.items():
-            a, b = bracket[s]
-            bracket[s] = (a, m) if saturated(s, m) else (m, b)
-    for s, (a, _b) in bracket.items():
-        result[s] = a
-    return {s: result[s] for s in seeds}
-
-
 @dataclass
 class ReplicaPoint:
     """Cross-seed summary of one offered rate: mean and 95% CI."""

@@ -1,46 +1,35 @@
-"""Batched multi-replica engine suite: exact differential + turbo KS gate.
+"""Batched multi-replica (turbo) engine suite: KS gate + runner fusion.
 
-Two contracts from ``repro.sim.batch``:
-
-* **exact mode** is *bit-identical* to running each ``(rate, seed)``
-  lane through the per-replica fast engine — pinned here across traffic
-  patterns, rates, and seeds, and through the batched sweep helpers
-  (``latency_throughput_curves_batch``, ``find_saturation_batch``).
-
-* **turbo mode** relaxes cross-replica draw-order compatibility and is
-  validated *statistically*: per-point two-sample Kolmogorov–Smirnov
-  tests on the latency and throughput distributions across seed
-  replicas, turbo vs the reference distribution, at ``ALPHA = 0.01``
-  (fixed seeds, so the suite is deterministic — these exact p-values
-  are pinned green).  The reference samples are drawn through exact
-  mode, i.e. the fast engine, which ``tests/test_fastnet.py`` pins
-  bit-identical to the reference oracle; one anchor test here
-  re-checks that chain directly against ``NetworkSimulator``.
+``repro.sim.batch.run_batch`` relaxes cross-replica draw-order
+compatibility and is validated *statistically*: per-point two-sample
+Kolmogorov–Smirnov tests on the latency and throughput distributions
+across seed replicas, turbo vs the reference distribution, at
+``ALPHA = 0.01`` (fixed seeds, so the suite is deterministic — these
+exact p-values are pinned green).  The reference samples are per-point
+``engine="fast"`` runs, which ``tests/test_fastnet.py`` pins
+bit-identical to the reference oracle; one anchor test here re-checks
+that chain directly against ``NetworkSimulator``.
 
 The KS gate covers stationary traffic plus the bursty (``mmpp``) and
 long-range-dependent (``lrd``) burst modulations, because turbo's
 per-lane RNG relaxation must not disturb the shared burst gates.
+
+The runner tests pin how seed replicas flow through
+:meth:`Runner.curves`: one job per seed, fast points as ``sim_point``
+tasks, turbo points fused into batched lanes under per-point cache keys.
 """
 
 import pytest
 
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import (
-    BATCH_MODES,
     ENGINES,
-    CompiledNetwork,
-    FastNetworkSimulator,
     NetworkSimulator,
     TurboNetworkSimulator,
-    find_saturation,
-    find_saturation_batch,
-    hotspot,
     latency_throughput_curve,
-    latency_throughput_curves_batch,
     resolve_engine,
     run_batch,
     run_point,
-    shuffle_pattern,
     uniform_random,
 )
 from repro.sim.burst import BurstSpec
@@ -67,60 +56,6 @@ def table():
 
 
 # ---------------------------------------------------------------------------
-# Exact mode: bit-identical to the per-replica fast engine.
-# ---------------------------------------------------------------------------
-
-
-class TestExactDifferential:
-    RATES = (0.05, 0.15, 0.30)
-    SEEDS = (0, 1)
-    BUDGET = dict(warmup=150, measure=400)
-
-    def _patterns(self):
-        return [
-            uniform_random(N),
-            shuffle_pattern(N),
-            hotspot(N, LAYOUT_4X5.mc_routers()),
-            uniform_random(N).with_burst(
-                BurstSpec(kind="mmpp", p_on=0.1, p_off=0.3)
-            ),
-        ]
-
-    @pytest.mark.parametrize("pattern_idx", range(4))
-    def test_lanes_bit_identical(self, table, pattern_idx):
-        traffic = self._patterns()[pattern_idx]
-        lanes = [(r, s) for s in self.SEEDS for r in self.RATES]
-        batched = run_batch(table, traffic, lanes, mode="exact", **self.BUDGET)
-        compiled = CompiledNetwork.for_table(table)
-        for (rate, seed), got in zip(lanes, batched):
-            want = FastNetworkSimulator(
-                table, traffic, rate, seed=seed, compiled=compiled
-            ).run(**self.BUDGET)
-            assert got == want, (traffic.name, rate, seed)
-
-    def test_curves_batch_matches_per_seed_curve(self, table):
-        traffic = uniform_random(N)
-        rates = [0.05, 0.15, 0.30]
-        seeds = [0, 1, 2]
-        curves = latency_throughput_curves_batch(
-            table, traffic, rates, seeds, mode="exact", **self.BUDGET
-        )
-        for s in seeds:
-            want = latency_throughput_curve(
-                table, traffic, rates, seed=s, **self.BUDGET
-            )
-            assert curves[s] == want, s
-
-    def test_find_saturation_batch_matches_per_seed(self, table):
-        traffic = uniform_random(N)
-        seeds = [0, 1]
-        kw = dict(iters=4, warmup=200, measure=500)
-        sats = find_saturation_batch(table, traffic, seeds, **kw)
-        for s in seeds:
-            assert sats[s] == find_saturation(table, traffic, seed=s, **kw), s
-
-
-# ---------------------------------------------------------------------------
 # Turbo mode: statistical validation (two-sample KS per point).
 # ---------------------------------------------------------------------------
 
@@ -144,8 +79,11 @@ class TestTurboKSValidation:
 
         traffic = uniform_random(N).with_burst(GATES[gate])
         lanes = [(r, s) for r in self.RATES for s in self.SEEDS]
-        ref = run_batch(table, traffic, lanes, mode="exact", **self.BUDGET)
-        turbo = run_batch(table, traffic, lanes, mode="turbo", **self.BUDGET)
+        ref = [
+            run_point(table, traffic, r, seed=s, engine="fast", **self.BUDGET)
+            for r, s in lanes
+        ]
+        turbo = run_batch(table, traffic, lanes, **self.BUDGET)
         k = len(self.SEEDS)
         for i, rate in enumerate(self.RATES):
             r_pts = ref[i * k:(i + 1) * k]
@@ -162,13 +100,13 @@ class TestTurboKSValidation:
             assert thr.pvalue >= ALPHA, (gate, rate, "throughput", thr.pvalue)
 
     def test_reference_anchor(self, table):
-        """The KS reference leg (exact mode = fast engine) really is the
-        reference distribution: fast == reference oracle, bit-for-bit."""
+        """The KS reference leg (the fast engine) really is the reference
+        distribution: fast == reference oracle, bit-for-bit."""
         traffic = uniform_random(N)
         a = run_point(table, traffic, 0.1, warmup=100, measure=250,
                       seed=0, engine="reference")
-        b = run_batch(table, traffic, [(0.1, 0)], warmup=100, measure=250,
-                      mode="exact")[0]
+        b = run_point(table, traffic, 0.1, warmup=100, measure=250,
+                      seed=0, engine="fast")
         assert a == b
         assert isinstance(
             NetworkSimulator(table, traffic, 0.1), NetworkSimulator
@@ -186,18 +124,15 @@ class TestTurboSemantics:
     def test_lane_invariance(self, table):
         """A lane's turbo result is independent of its batchmates."""
         traffic = uniform_random(N)
-        alone = run_batch(table, traffic, [(0.12, 3)], mode="turbo",
-                          **self.BUDGET)[0]
+        alone = run_batch(table, traffic, [(0.12, 3)], **self.BUDGET)[0]
         mixed = run_batch(
-            table, traffic, [(0.05, 0), (0.12, 3), (0.30, 1)],
-            mode="turbo", **self.BUDGET,
+            table, traffic, [(0.05, 0), (0.12, 3), (0.30, 1)], **self.BUDGET,
         )[1]
         assert alone == mixed
 
     def test_engine_registry(self):
         assert ENGINES["turbo"] is TurboNetworkSimulator
         assert resolve_engine("turbo") is TurboNetworkSimulator
-        assert BATCH_MODES == ("exact", "turbo")
 
     def test_run_point_engine_turbo_is_deterministic(self, table):
         traffic = uniform_random(N)
@@ -223,27 +158,11 @@ class TestTurboSemantics:
 
         faults = parse_faults("500:link_down:0-1")
         with pytest.raises(ValueError, match="fault"):
-            run_batch(table, uniform_random(N), [(0.1, 0)], 100, 200,
-                      mode="turbo", faults=faults)
+            run_point(table, uniform_random(N), 0.1, warmup=100, measure=200,
+                      engine="turbo", faults=faults)
         with pytest.raises(ValueError, match="fault"):
             TurboNetworkSimulator(table, uniform_random(N), 0.1,
                                   faults=faults)
-
-    def test_unknown_mode_rejected(self, table):
-        with pytest.raises(ValueError, match="unknown batch mode"):
-            run_batch(table, uniform_random(N), [(0.1, 0)], 100, 200,
-                      mode="warp")
-
-    def test_exact_mode_accepts_faults(self, table):
-        from repro.faults import parse_faults
-
-        faults = parse_faults("250:link_down:0-1")
-        st = run_batch(table, uniform_random(N), [(0.1, 0)], 100, 300,
-                       mode="exact", faults=faults)[0]
-        want = FastNetworkSimulator(
-            table, uniform_random(N), 0.1, seed=0, faults=faults
-        ).run(100, 300)
-        assert st == want
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +172,78 @@ class TestTurboSemantics:
 
 class TestRunnerBatch:
     BUDGET = dict(warmup=150, measure=400)
+    RATES = (0.05, 0.15, 0.30)
+    SEEDS = (0, 1, 2)
 
-    def test_exact_batch_populates_per_point_cache(self, table, tmp_path):
-        """Exact batch lanes land under the fast engine's ``sim_point``
-        keys, so per-point lookups (and ``Runner.curve``) hit them."""
-        from repro.runner import Runner
+    def _seed_jobs(self, table, engine):
+        from repro.runner import CurveJob
         from repro.runner.tasks import TrafficSpec
 
-        spec = TrafficSpec.uniform(N)
-        rates = [0.05, 0.15]
+        return [
+            CurveJob(table=table, traffic=TrafficSpec.uniform(N),
+                     rates=self.RATES, name="ft",
+                     link_class=table.topology.link_class, seed=s,
+                     engine=engine, **self.BUDGET)
+            for s in self.SEEDS
+        ]
+
+    def _curves_twice(self, table, engine, tmp_path):
+        """Curves from a cold run, plus the cache writes of a rerun."""
+        from repro.runner import Runner
+
         with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            batched = r.batch_points(
-                table, spec, [(rt, 0) for rt in rates], mode="exact",
+            curves = r.curves(self._seed_jobs(table, engine))
+        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
+            assert r.curves(self._seed_jobs(table, engine)) == curves
+            return curves, r.stats.puts
+
+    def test_curves_one_job_per_seed_match_serial_sweeps(self, table,
+                                                         tmp_path):
+        """Fast seed replicas are per-point runs: each equals the serial
+        sweep at that seed, and a rerun is served from the cache."""
+        curves, rerun_puts = self._curves_twice(table, "fast", tmp_path)
+        for s, got in zip(self.SEEDS, curves):
+            want = latency_throughput_curve(
+                table, uniform_random(N), self.RATES, name="ft", seed=s,
                 **self.BUDGET,
             )
-            curve = r.curve(table, spec, rates, seed=0, **self.BUDGET)
-            hits = r.stats.hits
-        assert hits >= len(rates)
-        for st, p in zip(batched, curve.points):
-            assert st.avg_latency_cycles == p.avg_latency_cycles
+            assert got == want, s
+        assert rerun_puts == 0
+
+    def test_curves_turbo_seeds_match_direct_batch(self, table, tmp_path):
+        """Turbo seed replicas fuse into batched lanes: each curve equals
+        assemble_curve over the same lanes from one direct run_batch."""
+        from repro.sim.sweep import assemble_curve
+
+        curves, rerun_puts = self._curves_twice(table, "turbo", tmp_path)
+        lanes = [(r, s) for s in self.SEEDS for r in self.RATES]
+        direct = run_batch(table, uniform_random(N), lanes, **self.BUDGET)
+        k = len(self.RATES)
+        for j, (s, got) in enumerate(zip(self.SEEDS, curves)):
+            want = assemble_curve(
+                self.RATES, direct[j * k:(j + 1) * k], name="ft",
+                link_class=table.topology.link_class,
+            )
+            assert got == want, s
+        assert rerun_puts == 0
+
+    def test_turbo_batch_populates_per_point_cache(self, table, tmp_path):
+        """Batched lanes land under the turbo engine's ``sim_point`` keys,
+        so a single-point task hits them."""
+        from repro.runner import Runner
+        from repro.runner.tasks import TrafficSpec, sim_point_payload
+
+        spec = TrafficSpec.uniform(N)
+        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
+            batched = r.batch_points(
+                table, spec, [(0.05, 0), (0.15, 1)], **self.BUDGET,
+            )
+            single = r.run_tasks("sim_point", [sim_point_payload(
+                table, spec, 0.15, self.BUDGET["warmup"],
+                self.BUDGET["measure"], 1, engine="turbo",
+            )])
+            assert r.stats.hits == 1
+        assert single[0] == batched[1]
 
     def test_turbo_batch_single_lane_roundtrip(self, table, tmp_path):
         from repro.runner import Runner
@@ -280,31 +252,9 @@ class TestRunnerBatch:
         spec = TrafficSpec.uniform(N)
         with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
             first = r.batch_points(
-                table, spec, [(0.05, 0), (0.12, 1)], mode="turbo",
-                **self.BUDGET,
+                table, spec, [(0.05, 0), (0.12, 1)], **self.BUDGET,
             )
-            again = r.batch_points(
-                table, spec, [(0.12, 1)], mode="turbo", **self.BUDGET,
-            )
+            again = r.batch_points(table, spec, [(0.12, 1)], **self.BUDGET)
             hits = r.stats.hits
         assert hits >= 1
         assert again[0] == first[1]
-
-    def test_multi_seed_curves_matches_direct_batch(self, table, tmp_path):
-        from repro.runner import Runner
-        from repro.runner.tasks import TrafficSpec
-
-        rates = [0.05, 0.15, 0.30]
-        seeds = [0, 1]
-        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            curves = r.multi_seed_curves(
-                table, TrafficSpec.uniform(N), rates, seeds, mode="exact",
-                **self.BUDGET,
-            )
-        direct = latency_throughput_curves_batch(
-            table, uniform_random(N), rates, seeds, mode="exact",
-            **self.BUDGET,
-        )
-        assert set(curves) == set(seeds)
-        for s in seeds:
-            assert curves[s] == direct[s], s

@@ -410,10 +410,43 @@ def test_sigint_killed_sweep_resumes_from_journal(table, baseline, tmp_path):
         ))
         assert points == baseline
         # Every task the killed run completed is a cache hit (resumed);
-        # nothing it finished is recomputed.
-        assert r.health.resumed == len(done)
-        assert r.stats.hits == len(done)
+        # nothing it finished is recomputed.  A kill between a task's
+        # cache write and its ``done`` line leaves more hits than
+        # ``done`` keys, and those count as resumed too.
+        assert r.health.resumed == r.stats.hits >= len(done)
         assert r.health.interrupted == len(scan["interrupted"])
+
+
+def test_resume_counts_hits_the_killed_run_never_journaled_done(
+    table, baseline, payloads, tmp_path
+):
+    """The state a kill between ``cache.put`` and ``journal.done``
+    leaves, built directly: the killed run declared five keys, journaled
+    one done, and cached two.  Both cached results count as resumed."""
+    from repro.runner.cache import ResultCache
+    from repro.runner.tasks import sim_point_task
+
+    cache_dir = str(tmp_path / "cache")
+    cache = ResultCache(cache_dir)
+    keys = [task_key("sim_point", p) for p in payloads]
+    for payload, key in zip(payloads[:2], keys[:2]):
+        cache.put(key, sim_point_task(payload))
+    with open(os.path.join(cache_dir, journal_mod.JOURNAL_NAME), "w") as fh:
+        for rec in (
+            {"ev": "run", "version": 1, "pid": 0},
+            {"ev": "wave", "task": "sim_point", "keys": keys},
+            {"ev": "done", "key": keys[0]},
+        ):
+            fh.write(json.dumps(rec) + "\n")
+
+    with Runner(parallel=1, cache_dir=cache_dir) as r:
+        points = curve_points(r.curve(
+            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        ))
+        assert points == baseline
+        assert r.stats.hits == 2
+        assert r.health.resumed == 2
+        assert r.health.interrupted == 4
 
 
 # ---------------------------------------------------------------------------

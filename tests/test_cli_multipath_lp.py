@@ -108,6 +108,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "saturation throughput" in out
 
+    SIM = ["simulate", "FoldedTorus", "--points", "2", "--max-rate", "0.08",
+           "--warmup", "300", "--measure", "400", "--no-cache"]
+
+    @pytest.mark.parametrize("engine", ["fast", "turbo"])
+    def test_simulate_seeds_prints_replica_table(self, engine, capsys):
+        assert main(self.SIM + ["--seeds", "2", "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert "+-" in out and "over 2 seeds" in out
+
+    def test_simulate_seeds_with_faults_on_fast(self, capsys):
+        rc = main(self.SIM + ["--seeds", "2", "--faults", "500:link_down:2-7"])
+        assert rc == 0
+        assert "over 2 seeds" in capsys.readouterr().out
+
+    def test_simulate_turbo_rejects_faults(self):
+        with pytest.raises(SystemExit, match="turbo does not support"):
+            main(self.SIM + ["--engine", "turbo",
+                             "--faults", "500:link_down:2-7"])
+
     def test_ns_spec(self, capsys):
         assert main(["evaluate", "ns:latop:medium"]) == 0
         assert "avg hops" in capsys.readouterr().out
