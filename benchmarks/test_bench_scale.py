@@ -1,6 +1,6 @@
 """Scale benchmark: sparse representations vs router count.
 
-Two measurements back the sparse-at-scale refactor:
+Three measurements back the sparse-at-scale work:
 
 * **Incremental SA APSP** — the same annealing run (identical seed,
   steps, config) with ``apsp="incremental"`` vs ``apsp="full"`` at
@@ -9,6 +9,14 @@ Two measurements back the sparse-at-scale refactor:
   *bit-identical*; the floor asserts the incremental mode is >= 3x
   faster (each move recomputes only the affected rows/columns of the
   hop matrix instead of all pairs).
+* **Incremental CDG** — deadlock-free VC assignment of one 48-router
+  table (FoldedTorus, NDBT, seed 0, ``max_vcs=14``) by the integer CDG
+  vs the networkx oracle it replaced (``tests/cdg_oracle.py``, whose
+  memoized ``path_dependencies`` makes it a little faster than the
+  replaced code, so the ratio is conservative).  The assignments are
+  asserted identical; the floor asserts the integer CDG is >= 10x
+  faster (it removes and re-adds routes' reference counts instead of
+  rebuilding a graph per eviction and per balancing trial).
 * **Per-layer timings vs n** — graph metrics (sparse multi-source BFS),
   destination-tree routing into a CSR table, fast-engine compilation
   from that table, and a short incremental anneal, at n in {64, 256,
@@ -18,17 +26,27 @@ Two measurements back the sparse-at-scale refactor:
 Results land in ``BENCH_scale.json`` (schema: benchmarks/conftest).
 """
 
+import os
+import sys
 import time
 
 from repro.core.netsmith import NetSmithConfig
 from repro.core.search import anneal_topology
+from repro.routing import assign_vcs, ndbt_route
 from repro.routing.dest_tree import bfs_dest_table
 from repro.sim.fastnet import CompiledNetwork
-from repro.topology import Layout, average_hops, diameter
+from repro.topology import Layout, average_hops, diameter, expert_topology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
+import cdg_oracle  # noqa: E402  (test-only networkx reference)
 
 APSP_SPEEDUP_FLOOR = 3.0
 APSP_GRID = (16, 16)  # n = 256, the floor's contract point
 APSP_STEPS = 150
+
+CDG_SPEEDUP_FLOOR = 10.0
+CDG_TOPOLOGY = ("FoldedTorus", 48)  # NDBT, seed 0: the floor's contract point
+CDG_MAX_VCS = 14
 
 SCALE_GRIDS = ((8, 8), (16, 16), (32, 32))
 SCALE_SA_STEPS = 30
@@ -83,6 +101,45 @@ def test_incremental_apsp_speedup(once, bench_record):
     assert speedup >= APSP_SPEEDUP_FLOOR, (
         f"incremental SA APSP only {speedup:.2f}x faster than full "
         f"recompute at n={n} (floor {APSP_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_incremental_cdg_speedup(once, bench_record):
+    name, n = CDG_TOPOLOGY
+    routes = ndbt_route(expert_topology(name, n), seed=0)
+
+    def harness():
+        t0 = time.perf_counter()
+        ref = cdg_oracle.assign_vcs(routes, max_vcs=CDG_MAX_VCS, seed=0)
+        t1 = time.perf_counter()
+        vca = assign_vcs(routes, max_vcs=CDG_MAX_VCS, seed=0)
+        return t1 - t0, ref, time.perf_counter() - t1, vca
+
+    oracle_s, ref, inc_s, vca = once(harness)
+    speedup = oracle_s / inc_s
+
+    print(f"\nVC assignment of {name}-{n} (NDBT, seed 0, max_vcs={CDG_MAX_VCS}):")
+    print(f"  networkx oracle {oracle_s:7.2f}s  {ref.num_vcs} VCs")
+    print(f"  integer CDG     {inc_s:7.2f}s  {vca.num_vcs} VCs")
+    print(f"  speedup {speedup:.2f}x (floor {CDG_SPEEDUP_FLOOR}x)")
+
+    assert (vca.num_vcs, vca.assignment, vca.layers) == (
+        ref.num_vcs, ref.assignment, ref.layers
+    ), "integer CDG changed the VC assignment"
+
+    bench_record(
+        topology=f"{name}-{n}",
+        policy="ndbt",
+        max_vcs=CDG_MAX_VCS,
+        num_vcs=vca.num_vcs,
+        oracle_wall_s=round(oracle_s, 3),
+        incremental_wall_s=round(inc_s, 3),
+        speedup=round(speedup, 3),
+        floor=CDG_SPEEDUP_FLOOR,
+    )
+    assert speedup >= CDG_SPEEDUP_FLOOR, (
+        f"integer CDG VC assignment only {speedup:.2f}x faster than the "
+        f"networkx oracle on {name}-{n} (floor {CDG_SPEEDUP_FLOOR}x)"
     )
 
 

@@ -4,6 +4,7 @@ channel-load analysis, and deployable routing tables."""
 from .paths import Path, PathSet, enumerate_shortest_paths, single_shortest_paths
 from .ndbt import doubles_back_horizontally, ndbt_paths, ndbt_route
 from .cdg import (
+    CDG,
     build_cdg,
     find_cycle,
     is_acyclic,
@@ -27,6 +28,7 @@ __all__ = [
     "ndbt_paths",
     "ndbt_route",
     "doubles_back_horizontally",
+    "CDG",
     "build_cdg",
     "find_cycle",
     "is_acyclic",

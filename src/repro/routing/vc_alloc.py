@@ -9,16 +9,20 @@ acyclic, hence deadlock-free with one escape VC per layer.
 
 Layers are then load-balanced using path-length-weighted VC occupancy
 (a path traversing three links has weight three), matching Section IV-A.
+
+Both steps work on incremental CDGs (:class:`~repro.routing.cdg.CDG`,
+one per layer): an eviction or a balancing move updates the moved
+routes' reference counts instead of rebuilding the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cdg import build_cdg, find_cycle, is_acyclic
+from .cdg import CDG, build_cdg, is_acyclic
 from .paths import Path, PathSet
 
 
@@ -84,34 +88,29 @@ def _assign_vcs_once(
             )
         flows.append((sd, plist[0]))
 
-    remaining = list(flows)
+    remaining = flows
     layers: List[List[Tuple[Tuple[int, int], Path]]] = []
     while remaining:
         if len(layers) >= max_vcs:
             raise RuntimeError(
                 f"VC assignment exceeded {max_vcs} layers; routes are too cyclic"
             )
-        layer = list(remaining)
-        evicted: List[Tuple[Tuple[int, int], Path]] = []
-        g = build_cdg([p for _, p in layer])
+        g = CDG(p for _, p in remaining)
+        evicted: List[int] = []  # positions in ``remaining``, in eviction order
         while True:
-            cycle = find_cycle(g)
+            cycle = g.find_cycle()
             if cycle is None:
                 break
             # random back-edge selection (paper: "simple, random selection
             # of the cycle-forming back edge ... gave sufficiently low
             # required virtual channels")
             dep = cycle[int(rng.integers(len(cycle)))]
-            inducing = list(g[dep[0]][dep[1]]["paths"])
-            inducing_set = set(inducing)
-            moved = [fl for fl in layer if fl[1] in inducing_set]
-            layer = [fl for fl in layer if fl[1] not in inducing_set]
-            evicted.extend(moved)
-            g = build_cdg([p for _, p in layer])
-        layers.append(layer)
-        remaining = evicted
+            evicted.extend(g.evict(dep))
+        gone = set(evicted)
+        layers.append([fl for k, fl in enumerate(remaining) if k not in gone])
+        remaining = [remaining[k] for k in evicted]
 
-    layers = _balance_layers(layers, rng)
+    layers = _balance_layers(layers)
 
     assignment = {}
     path_layers: List[List[Path]] = []
@@ -126,35 +125,37 @@ def _assign_vcs_once(
 
 def _balance_layers(
     layers: List[List[Tuple[Tuple[int, int], Path]]],
-    rng: np.random.Generator,
 ) -> List[List[Tuple[Tuple[int, int], Path]]]:
     """Greedy re-balancing by path-length weight, preserving acyclicity.
 
     Moves routes from the heaviest layer to lighter layers when the move
-    keeps the receiving layer's CDG acyclic.
+    keeps the receiving layer's CDG acyclic.  Weights and per-layer CDGs
+    are updated with each move, not recomputed.
     """
     if len(layers) <= 1:
         return layers
-
-    def weight(layer):
-        return sum(len(p) - 1 for _, p in layer)
+    cdgs = [CDG(p for _, p in layer) for layer in layers]
+    slots = [{sd: k for k, (sd, _) in enumerate(layer)} for layer in layers]
+    weights = [sum(len(p) - 1 for _, p in layer) for layer in layers]
 
     changed = True
     while changed:
         changed = False
-        weights = [weight(l) for l in layers]
         src = int(np.argmax(weights))
         order = sorted(range(len(layers)), key=lambda k: weights[k])
         for flow in sorted(layers[src], key=lambda fl: -(len(fl[1]) - 1)):
+            sd, path = flow
+            w = len(path) - 1
             for dst in order:
-                if dst == src:
+                if dst == src or weights[dst] + w >= weights[src]:
                     continue
-                if weights[dst] + (len(flow[1]) - 1) >= weights[src]:
-                    continue
-                trial = [p for _, p in layers[dst]] + [flow[1]]
-                if is_acyclic(build_cdg(trial)):
+                if not cdgs[dst].closes_cycle(path):
+                    slots[dst][sd] = cdgs[dst].add(path)
+                    cdgs[src].remove(slots[src].pop(sd))
                     layers[dst].append(flow)
                     layers[src].remove(flow)
+                    weights[dst] += w
+                    weights[src] -= w
                     changed = True
                     break
             if changed:

@@ -1,6 +1,9 @@
 """Tests for CDG construction and deadlock-free VC assignment."""
 
-import networkx as nx
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.routing import (
@@ -46,6 +49,17 @@ class TestCDG:
     def test_find_cycle_none_for_dag(self):
         g = build_cdg([(0, 1, 2)])
         assert find_cycle(g) is None
+
+    def test_successors_follow_first_surviving_route(self):
+        """Channel (0,1) leads round two cycles.  Its edge to (1,2) is
+        first induced by route 0; once route 0 is evicted, the edge to
+        (1,3) (route 1) comes before it (route 2)."""
+        paths = [(5, 0, 1, 2), (0, 1, 3), (0, 1, 2),
+                 (1, 2, 0), (2, 0, 1), (1, 3, 0), (3, 0, 1)]
+        g = build_cdg(paths)
+        assert find_cycle(g) == [((0, 1), (1, 2)), ((1, 2), (2, 0)), ((2, 0), (0, 1))]
+        assert g.evict(((5, 0), (0, 1))) == [0]
+        assert find_cycle(g) == [((0, 1), (1, 3)), ((1, 3), (3, 0)), ((3, 0), (0, 1))]
 
 
 class TestVCAssignment:
@@ -137,3 +151,30 @@ class TestRoutingTable:
         table = build_routing_table(routes)
         assert table.num_vcs == 1
         assert table.vc(0, 1) == 0
+
+
+_WITHOUT_NETWORKX = """
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["networkx"] = None  # any import of networkx now fails
+import repro
+from repro.routing import assign_vcs, ndbt_route, validate_assignment
+from repro.topology import expert_topology
+
+routes = ndbt_route(expert_topology("Kite-Small", 20), seed=0)
+vca = assign_vcs(routes, seed=0)
+validate_assignment(routes, vca)
+print(vca.num_vcs)
+"""
+
+
+def test_vc_assignment_needs_no_networkx():
+    """networkx is a test-suite dependency only: routing and deadlock-free
+    VC assignment run with it unimportable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX.format(src=src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 1
