@@ -1,6 +1,6 @@
 """Scale benchmark: sparse representations vs router count.
 
-Three measurements back the sparse-at-scale work:
+Five measurements back the sparse-at-scale work and the per-table costs:
 
 * **Incremental SA APSP** — the same annealing run (identical seed,
   steps, config) with ``apsp="incremental"`` vs ``apsp="full"`` at
@@ -17,6 +17,16 @@ Three measurements back the sparse-at-scale work:
   asserted identical; the floor asserts the integer CDG is >= 10x
   faster (it removes and re-adds routes' reference counts instead of
   rebuilding a graph per eviction and per balancing trial).
+* **Incremental Kite greedy** — Kite-Large at 48 routers by the
+  one-link relaxation of the current hop matrix vs the greedy it
+  replaced (``tests/kite_oracle.py``: one scipy APSP per candidate
+  link).  The edges are asserted identical; the floor asserts the
+  relaxation is >= 8x faster.
+* **Canonical table keys** — ``task_key`` of one prebuilt sim-point
+  payload on the FoldedTorus-48 NDBT table, with the table doc marked
+  canonical by construction vs the old walk over every entry
+  (``tests/hashing_oracle.py``).  The keys are asserted identical; the
+  floor asserts the production key is >= 3x faster.
 * **Per-layer timings vs n** — graph metrics (sparse multi-source BFS),
   destination-tree routing into a CSR table, fast-engine compilation
   from that table, and a short incremental anneal, at n in {64, 256,
@@ -32,13 +42,24 @@ import time
 
 from repro.core.netsmith import NetSmithConfig
 from repro.core.search import anneal_topology
-from repro.routing import assign_vcs, ndbt_route
+from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.routing.dest_tree import bfs_dest_table
+from repro.runner import TrafficSpec, task_key
+from repro.runner.tasks import sim_point_payload
 from repro.sim.fastnet import CompiledNetwork
-from repro.topology import Layout, average_hops, diameter, expert_topology
+from repro.topology import (
+    Layout,
+    average_hops,
+    diameter,
+    expert_topology,
+    kite,
+    standard_layout,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 import cdg_oracle  # noqa: E402  (test-only networkx reference)
+import hashing_oracle  # noqa: E402  (test-only walking hash)
+import kite_oracle  # noqa: E402  (test-only per-candidate APSP greedy)
 
 APSP_SPEEDUP_FLOOR = 3.0
 APSP_GRID = (16, 16)  # n = 256, the floor's contract point
@@ -47,6 +68,13 @@ APSP_STEPS = 150
 CDG_SPEEDUP_FLOOR = 10.0
 CDG_TOPOLOGY = ("FoldedTorus", 48)  # NDBT, seed 0: the floor's contract point
 CDG_MAX_VCS = 14
+
+KITE_SPEEDUP_FLOOR = 8.0
+KITE_CASE = ("large", 48)  # the floor's contract point
+
+KEY_SPEEDUP_FLOOR = 3.0
+KEY_TOPOLOGY = CDG_TOPOLOGY  # the CDG floor's table (NDBT, seed 0)
+KEY_REPS = 20  # keys hashed per timing; the best of 5 timings counts
 
 SCALE_GRIDS = ((8, 8), (16, 16), (32, 32))
 SCALE_SA_STEPS = 30
@@ -140,6 +168,98 @@ def test_incremental_cdg_speedup(once, bench_record):
     assert speedup >= CDG_SPEEDUP_FLOOR, (
         f"integer CDG VC assignment only {speedup:.2f}x faster than the "
         f"networkx oracle on {name}-{n} (floor {CDG_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_incremental_kite_speedup(once, bench_record):
+    size, n = KITE_CASE
+    layout = standard_layout(n)
+
+    def harness():
+        t0 = time.perf_counter()
+        ref = kite_oracle.kite(layout, size)
+        t1 = time.perf_counter()
+        got = kite(layout, size)
+        return t1 - t0, ref, time.perf_counter() - t1, got
+
+    oracle_s, ref, inc_s, got = once(harness)
+    speedup = oracle_s / inc_s
+
+    print(f"\nKite-{size.capitalize()}-{n} greedy:")
+    print(f"  APSP per candidate  {oracle_s:7.2f}s  {ref.num_links} links")
+    print(f"  one-link relaxation {inc_s:7.2f}s  {got.num_links} links")
+    print(f"  speedup {speedup:.2f}x (floor {KITE_SPEEDUP_FLOOR}x)")
+
+    assert got.directed_links == ref.directed_links, (
+        "one-link relaxation changed the Kite edges"
+    )
+
+    bench_record(
+        topology=f"Kite-{size.capitalize()}-{n}",
+        num_links=got.num_links,
+        oracle_wall_s=round(oracle_s, 3),
+        incremental_wall_s=round(inc_s, 3),
+        speedup=round(speedup, 3),
+        floor=KITE_SPEEDUP_FLOOR,
+    )
+    assert speedup >= KITE_SPEEDUP_FLOOR, (
+        f"Kite greedy only {speedup:.2f}x faster than one APSP per "
+        f"candidate on Kite-{size.capitalize()}-{n} "
+        f"(floor {KITE_SPEEDUP_FLOOR}x)"
+    )
+
+
+def _best_of(fn, arg, reps=KEY_REPS, rounds=5):
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best / reps
+
+
+def test_canonical_table_key_speedup(once, bench_record):
+    name, n = KEY_TOPOLOGY
+    routes = ndbt_route(expert_topology(name, n), seed=0)
+    table = build_routing_table(
+        routes, assign_vcs(routes, max_vcs=CDG_MAX_VCS, seed=0)
+    )
+    payload = sim_point_payload(
+        table, TrafficSpec.uniform(n), 0.1, warmup=250, measure=800, seed=0,
+    )
+
+    def harness():
+        walk_s = _best_of(
+            lambda p: hashing_oracle.task_key("sim_point", p), payload,
+        )
+        key_s = _best_of(lambda p: task_key("sim_point", p), payload)
+        return walk_s, key_s
+
+    walk_s, key_s = once(harness)
+    speedup = walk_s / key_s
+
+    print(f"\nsim_point task key on {name}-{n} (NDBT, seed 0):")
+    print(f"  walked doc     {walk_s * 1e3:7.2f}ms")
+    print(f"  canonical doc  {key_s * 1e3:7.2f}ms")
+    print(f"  speedup {speedup:.2f}x (floor {KEY_SPEEDUP_FLOOR}x)")
+
+    assert task_key("sim_point", payload) == hashing_oracle.task_key(
+        "sim_point", payload
+    ), "canonical table doc changed the task key"
+
+    bench_record(
+        topology=f"{name}-{n}",
+        policy="ndbt",
+        table_entries=len(payload["table"]["next_hop"]),
+        walk_ms=round(walk_s * 1e3, 3),
+        canonical_ms=round(key_s * 1e3, 3),
+        speedup=round(speedup, 3),
+        floor=KEY_SPEEDUP_FLOOR,
+    )
+    assert speedup >= KEY_SPEEDUP_FLOOR, (
+        f"canonical table key only {speedup:.2f}x faster than walking "
+        f"the doc on {name}-{n} (floor {KEY_SPEEDUP_FLOOR}x)"
     )
 
 

@@ -153,10 +153,9 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
         self._wval = 0
 
         spec = traffic.dest_spec
-        if spec is None:
-            # Custom pattern: real Generator calls, same draw order.
-            self._closed_gen = self._generate_fallback
-        else:
+        # Custom pattern (no spec): real Generator calls, same draw order.
+        self._emulated = spec is not None
+        if self._emulated:
             self._kind = _KIND[spec.kind]
             self._dtable = (
                 spec.table.tolist() if spec.table is not None else None
@@ -170,10 +169,21 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
             )
             self._uni_thresh = (1 << 32) % (n - 1) if n - 1 >= 2 else 0
             self._hot_fraction = spec.hot_fraction
-            self._closed_gen = self._generate_emulated
-        self._closed_eject = self._eject_closed
 
     # -- engine adapters -------------------------------------------------------
+    # The hooks are bound on access, never stored on the instance: a
+    # bound method kept in its own instance's attributes is a reference
+    # cycle, which would leave every finished simulator to the cyclic GC.
+    @property
+    def _closed_gen(self):
+        if self._emulated:
+            return self._generate_emulated
+        return self._generate_fallback
+
+    @property
+    def _closed_eject(self):
+        return self._eject_closed
+
     def _unroutable(self, node: int, dst: int) -> bool:
         return not self.flow_ok[node * self.n + dst]
 

@@ -46,6 +46,7 @@ from ..sim.traffic import (
     uniform_random,
 )
 from ..topology import Layout, Topology
+from .hashing import CanonicalDoc
 
 #: Payload format version; bump to invalidate all cached entries when the
 #: simulator's semantics change.  v2: accepted throughput counts every
@@ -228,23 +229,26 @@ class TrafficSpec:
 # Routing-table codec.
 # ---------------------------------------------------------------------------
 
-def encode_table(table) -> Dict[str, Any]:
+def encode_table(table) -> CanonicalDoc:
     """A deterministic, JSON-clean description of a routing table.
 
     Sorted entry lists make the encoding canonical, so the same routed
-    configuration always hashes to the same cache key.  Destination-
-    keyed tables (:class:`~repro.routing.tables.CSRRoutingTable`) encode
-    as ``format: "csr"`` with flat n² arrays — O(n²) doc size where the
+    configuration always hashes to the same cache key.  Every value is
+    already a plain int list, str or None, so the doc is a
+    :class:`~repro.runner.hashing.CanonicalDoc` and hashing it skips the
+    walk over its ~n² entries.  Destination-keyed tables
+    (:class:`~repro.routing.tables.CSRRoutingTable`) encode as
+    ``format: "csr"`` with flat n² arrays — O(n²) doc size where the
     dict form is O(n² · avg_hops) — and decode back to the CSR class.
     """
     topo = table.topology
-    doc = {
-        "layout": [topo.layout.rows, topo.layout.cols],
+    doc = CanonicalDoc({
+        "layout": [int(topo.layout.rows), int(topo.layout.cols)],
         "links": sorted([int(i), int(j)] for i, j in topo.directed_links),
         "name": topo.name,
         "link_class": topo.link_class,
         "num_vcs": int(table.num_vcs),
-    }
+    })
     if getattr(table, "dest_keyed", False):
         doc["format"] = "csr"
         doc["next_dst"] = table.next_matrix().tolist()

@@ -2,10 +2,12 @@
 
 import pytest
 
+import kite_oracle
 from repro.topology import (
     LAYOUT_4X5,
     LAYOUT_8X6,
     RADIX,
+    Layout,
     Signature,
     Topology,
     average_hops,
@@ -19,6 +21,7 @@ from repro.topology import (
     kite,
     mesh,
     reconstruct,
+    standard_layout,
 )
 from repro.topology import expert_data
 from repro.topology.expert import EXPERT_FAMILIES
@@ -69,6 +72,32 @@ class TestPatternGenerators:
     def test_kite_rejects_bad_size(self):
         with pytest.raises(ValueError):
             kite(LAYOUT_4X5, "gigantic")
+
+
+#: Every class at the standard sizes, plus layouts with other aspect
+#: ratios, down to one row, in the large class (the most candidate
+#: spans); more cases would push the oracle past a few seconds.
+KITE_CASES = [
+    (standard_layout(n), size)
+    for n in (16, 20, 24, 30)
+    for size in ("small", "medium", "large")
+] + [
+    (Layout(rows=r, cols=c), "large")
+    for r, c in ((3, 7), (2, 9), (5, 5), (1, 6))
+]
+
+
+@pytest.mark.parametrize(
+    "layout,size", KITE_CASES,
+    ids=[f"{l.rows}x{l.cols}-{size}" for l, size in KITE_CASES],
+)
+def test_kite_matches_per_candidate_apsp_oracle(layout, size):
+    """The one-link relaxation picks exactly the edges that a full APSP
+    per candidate picks (``tests/kite_oracle.py``)."""
+    got = kite(layout, size)
+    ref = kite_oracle.kite(layout, size)
+    assert got.directed_links == ref.directed_links
+    assert (got.name, got.link_class) == (ref.name, ref.link_class)
 
 
 class TestExpertRegistry:

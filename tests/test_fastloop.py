@@ -9,7 +9,9 @@ custom-pattern fallback), and the engine-selection plumbing of
 :func:`~repro.fullsys.speedup.run_workload`.
 """
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -51,6 +53,16 @@ def tables():
         "FoldedTorus": _table(folded_torus(LAYOUT_4X5)),
         "mesh2x3": _table(small),
     }
+
+
+def _custom_pattern():
+    """A spec-less pattern: the fast engine's real-Generator fallback."""
+
+    def dest(src, rng):
+        d = int(rng.integers(19))
+        return d if d < src else d + 1
+
+    return TrafficPattern("custom", 20, dest, dest_spec=None)
 
 
 def _pair(table, traffic_fn, seed, **kw):
@@ -123,16 +135,8 @@ class TestDifferential:
         """Spec-less patterns take the real-Generator fallback path and
         stay bit-identical."""
         table = tables["Mesh"]
-
-        def make():
-            def dest(src, rng):
-                d = int(rng.integers(19))
-                return d if d < src else d + 1
-
-            return TrafficPattern("custom", 20, dest, dest_spec=None)
-
         (ref, sref), (fast, sfast) = _pair(
-            table, make, 2,
+            table, _custom_pattern, 2,
             demand_rate=0.2, memory_fraction=0.5, mlp_per_node=8,
         )
         assert fast._closed_gen.__func__ is FastClosedLoopSimulator._generate_fallback
@@ -160,6 +164,26 @@ class TestDifferential:
         assert sref.completed_requests > 50
         assert math.isfinite(sref.avg_round_trip_cycles)
         assert sref.rtt_sum == sfast.rtt_sum > 0
+
+
+@pytest.mark.parametrize("traffic_fn", [
+    lambda: uniform_random(20), _custom_pattern,
+], ids=["dest_spec", "spec_less"])
+def test_finished_simulator_freed_without_cyclic_gc(tables, traffic_fn):
+    """The engine hooks are bound on access, not stored on the instance,
+    so reference counting alone frees a finished simulator."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = FastClosedLoopSimulator(
+            tables["Mesh"], traffic_fn(), demand_rate=0.2, seed=0,
+        )
+        sim.run_closed_loop(warmup=50, measure=100)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestRunWorkloadEngine:

@@ -2,10 +2,16 @@
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+import hashing_oracle
+from repro.experiments.registry import NDBT, routed_table
+from repro.faults import FaultSchedule
+from repro.fullsys import RetryPolicy, workload
+from repro.routing.dest_tree import bfs_dest_table
 from repro.runner import (
     MISS,
     CurveJob,
@@ -23,9 +29,10 @@ from repro.runner import (
 )
 from repro.runner import tasks as runner_tasks
 from repro.runner.artifacts import _BUILDERS, generate_all
+from repro.runner.hashing import CanonicalDoc, canonicalize
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import find_saturation, latency_throughput_curve, uniform_random
-from repro.topology import Layout, Topology
+from repro.topology import Layout, Topology, expert_topology
 
 RATES = (0.02, 0.06, 0.12, 0.2, 0.3)
 BUDGET = dict(warmup=80, measure=200, seed=0)
@@ -57,6 +64,7 @@ def test_config_hash_ignores_dict_order_and_numpy_typing():
     b = {"z": {"k": np.float64(2.5)}, "y": (np.int64(1), 2, 3), "x": np.int32(1)}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "x": 2})
+    assert config_hash({"a": np.bool_(True)}) == config_hash({"a": True})
 
 
 def test_canonical_json_rejects_unhashable_types():
@@ -70,6 +78,106 @@ def test_derive_seed_deterministic_and_distinct():
     assert len(seeds) == 100
     assert all(0 <= s < 2**31 for s in seeds)
     assert derive_seed(1, "point", 0) != derive_seed(0, "point", 0)
+
+
+# ---------------------------------------------------------------------------
+# key stability: table docs are canonical by construction
+# ---------------------------------------------------------------------------
+
+#: Task keys and table digests recorded before table docs became
+#: :class:`CanonicalDoc` (hashing walked every doc then).  Cached results
+#: stay valid only while these hold.
+GOLDEN_KEYS = {
+    "kite_small_ndbt": {
+        "closed_loop": "3e737c80ec0753780f8f2d7fe6d1bb3d8b821052be36f579cfb359c4db03a113",
+        "recovery": "f7e383b7c79e948bd0a0237f75647cefb471f12f83438ec8b04caab8bda72eff",
+        "sat_search": "476bdd71ffc5254668df69beeaa41cd5aed8631b11b2ac2bfbde867643279c7c",
+        "sim_batch": "efa7496a22020a889399b82140fe1f3b30ee02461b092b7a79fc2a8d8cf97012",
+        "sim_point": "16ed963bbe6771b737ebd7bdbfb2f84f33aeeca2aa05a7f46924c4460892def1",
+        "table": "7a9dcc25b6b1e93703efe4e27d42dcd143bcad0bdb2804c8615a87566c01aa5c",
+    },
+    "mesh_bfs": {
+        "closed_loop": "2947ade80b9b7b38a6ae789bcccabf384aee484864d643081c2fab4df601cf7e",
+        "recovery": "54811fde6eecd7e1559f367159a65d0bf74997eb0cf10f7eaa35e48fa8727597",
+        "sat_search": "70f0adaf15629f69772e8bf5483d9df3c9f475a32f38b85521d1ed92ac6aff5d",
+        "sim_batch": "3944b0b8c829d25e90d2e03040a9da7317686b595cb3e105250ff103660bf6a6",
+        "sim_point": "32b2ec6eebd043fa32cf945727cc9b0f09b406af867c7df2adf41b04a078fc28",
+        "table": "432e48a851b9ceefe56cb616a97af14b9df936e061a6969c75870c31c630888a",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def golden_tables():
+    """A dict-format table (Kite-Small-20, NDBT, seed 0) and a CSR one
+    (Mesh-20, destination-tree BFS)."""
+    return {
+        "kite_small_ndbt": routed_table(
+            expert_topology("Kite-Small", 20), NDBT, seed=0, use_cache=False,
+        ),
+        "mesh_bfs": bfs_dest_table(expert_topology("Mesh", 20), max_vcs=8, seed=0),
+    }
+
+
+def _key_payloads(table):
+    """One payload per table-carrying task family."""
+    layout = table.topology.layout
+    uniform = TrafficSpec.uniform(layout.n)
+    profile = workload("canneal")
+    faults = FaultSchedule.link_outage([(0, 1)], down_cycle=100, up_cycle=200)
+    retry = RetryPolicy(seed=3)
+    return {
+        "sim_point": runner_tasks.sim_point_payload(
+            table, uniform, 0.1, 100, 300, 0, faults=faults),
+        "sat_search": runner_tasks.sat_search_payload(
+            table, uniform, 0.01, 0.5, 4, 100, 300, 0),
+        "closed_loop": runner_tasks.closed_loop_payload(
+            table, profile, "small", 100, 300, 0),
+        "sim_batch": runner_tasks.sim_batch_payload(
+            table, TrafficSpec.memory(layout), [(0.05, 0), (0.1, 1)], 100, 300),
+        "recovery": runner_tasks.recovery_payload(
+            table, profile, "small", faults, retry, 600, 100, 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+def test_task_keys_match_golden_digests(golden_tables, name):
+    table = golden_tables[name]
+    keys = {fam: task_key(fam, p) for fam, p in _key_payloads(table).items()}
+    keys["table"] = config_hash(encode_table(table))
+    assert keys == GOLDEN_KEYS[name]
+
+
+def test_table_docs_are_canonical_by_construction(golden_tables):
+    """Walking a plain copy of a table doc gives the doc itself, so
+    skipping the walk cannot change a key (``tests/hashing_oracle.py``
+    still walks it).  Covers dict and CSR tables and a layout whose dims
+    are numpy ints."""
+    layout = Layout(rows=np.int64(2), cols=np.int64(3))
+    topo = Topology.from_undirected(
+        layout, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)],
+        name="mesh2x3", link_class="small",
+    )
+    routes = ndbt_route(topo, seed=0)
+    np_dims = build_routing_table(routes, assign_vcs(routes, seed=0))
+    for table in (*golden_tables.values(), np_dims):
+        doc = encode_table(table)
+        assert isinstance(doc, CanonicalDoc)
+        plain = json.loads(json.dumps(doc))
+        assert type(plain) is dict
+        assert canonicalize(plain) == doc
+        assert canonical_json(plain) == canonical_json(doc)
+        assert config_hash(doc) == hashing_oracle.config_hash(doc)
+
+
+def test_canonical_doc_survives_pickle(golden_tables):
+    """Process pools pickle payloads; the doc must arrive still marked
+    canonical and with the same key."""
+    doc = encode_table(golden_tables["kite_small_ndbt"])
+    back = pickle.loads(pickle.dumps(doc))
+    assert type(back) is CanonicalDoc
+    assert back == doc
+    assert config_hash(back) == config_hash(doc)
 
 
 # ---------------------------------------------------------------------------
