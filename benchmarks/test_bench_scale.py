@@ -1,14 +1,20 @@
 """Scale benchmark: sparse representations vs router count.
 
-Five measurements back the sparse-at-scale work and the per-table costs:
+Six measurements back the sparse-at-scale work and the per-table costs:
 
 * **Incremental SA APSP** — the same annealing run (identical seed,
-  steps, config) with ``apsp="incremental"`` vs ``apsp="full"`` at
-  n=256.  The two modes share one RNG call sequence and exact integer
-  distances, so the resulting links and objective are asserted
-  *bit-identical*; the floor asserts the incremental mode is >= 3x
-  faster (each move recomputes only the affected rows/columns of the
-  hop matrix instead of all pairs).
+  steps, config) with the production ``IncrementalAPSP`` vs the
+  full-recompute oracle (``tests/apsp_oracle.py``, substituted with
+  ``monkeypatch``) at n=256.  Both share one move loop, one RNG call
+  sequence and exact integer distances, so the resulting links and
+  objective are asserted *bit-identical*; the floor asserts the
+  production run is >= 3x faster (each move recomputes only the
+  affected rows/columns of the hop matrix instead of all pairs, by
+  scipy's BFS at this size).
+* **Small SA moves** — the same comparison on explore's 4x5 medium
+  point (6000 steps, seed 0), where each move's affected slice is a
+  few rows of 20 routers and the dense BFS recomputes them; the floor
+  asserts >= 2.5x (the best of 2 runs per side counts).
 * **Incremental CDG** — deadlock-free VC assignment of one 48-router
   table (FoldedTorus, NDBT, seed 0, ``max_vcs=14``) by the integer CDG
   vs the networkx oracle it replaced (``tests/cdg_oracle.py``, whose
@@ -40,8 +46,8 @@ import os
 import sys
 import time
 
+from repro.core import search
 from repro.core.netsmith import NetSmithConfig
-from repro.core.search import anneal_topology
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.routing.dest_tree import bfs_dest_table
 from repro.runner import TrafficSpec, task_key
@@ -57,6 +63,7 @@ from repro.topology import (
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
+import apsp_oracle  # noqa: E402  (test-only full-recompute APSP)
 import cdg_oracle  # noqa: E402  (test-only networkx reference)
 import hashing_oracle  # noqa: E402  (test-only walking hash)
 import kite_oracle  # noqa: E402  (test-only per-candidate APSP greedy)
@@ -64,6 +71,10 @@ import kite_oracle  # noqa: E402  (test-only per-candidate APSP greedy)
 APSP_SPEEDUP_FLOOR = 3.0
 APSP_GRID = (16, 16)  # n = 256, the floor's contract point
 APSP_STEPS = 150
+
+SMALL_SA_SPEEDUP_FLOOR = 2.5
+SMALL_SA_CASE = (4, 5, "medium")  # explore-sa's grid; the floor's contract point
+SMALL_SA_STEPS = 6000
 
 CDG_SPEEDUP_FLOOR = 10.0
 CDG_TOPOLOGY = ("FoldedTorus", 48)  # NDBT, seed 0: the floor's contract point
@@ -80,23 +91,41 @@ SCALE_GRIDS = ((8, 8), (16, 16), (32, 32))
 SCALE_SA_STEPS = 30
 
 
-def _anneal(rows, cols, steps, apsp, seed=1):
+def _anneal(rows, cols, steps, link_class="medium", seed=1):
     cfg = NetSmithConfig(
-        layout=Layout(rows=rows, cols=cols), link_class="medium", radix=4
+        layout=Layout(rows=rows, cols=cols), link_class=link_class, radix=4
     )
     t0 = time.perf_counter()
-    result = anneal_topology(
-        cfg, objective="latency", steps=steps, seed=seed, apsp=apsp
+    result = search.anneal_topology(
+        cfg, objective="latency", steps=steps, seed=seed
     )
     return time.perf_counter() - t0, result
 
 
-def test_incremental_apsp_speedup(once, bench_record):
+def _anneal_oracle(monkeypatch, *args, **kwargs):
+    """``_anneal`` with every move's hop matrix recomputed in full."""
+    with monkeypatch.context() as m:
+        m.setattr(search, "IncrementalAPSP", apsp_oracle.FullAPSP)
+        return _anneal(*args, **kwargs)
+
+
+def _assert_identical(inc, full):
+    # Bit-identical results: same RNG sequence, exact integer distances.
+    assert inc.objective == full.objective, (
+        f"incremental APSP changed the SA objective: "
+        f"{inc.objective!r} != {full.objective!r}"
+    )
+    assert sorted(inc.topology.directed_links) == sorted(
+        full.topology.directed_links
+    ), "incremental APSP changed the SA search trajectory"
+
+
+def test_incremental_apsp_speedup(once, bench_record, monkeypatch):
     rows, cols = APSP_GRID
 
     def harness():
-        full_s, full = _anneal(rows, cols, APSP_STEPS, "full")
-        inc_s, inc = _anneal(rows, cols, APSP_STEPS, "incremental")
+        full_s, full = _anneal_oracle(monkeypatch, rows, cols, APSP_STEPS)
+        inc_s, inc = _anneal(rows, cols, APSP_STEPS)
         return full_s, full, inc_s, inc
 
     full_s, full, inc_s, inc = once(harness)
@@ -108,14 +137,7 @@ def test_incremental_apsp_speedup(once, bench_record):
     print(f"  incremental {inc_s:7.2f}s  objective {inc.objective:.1f}")
     print(f"  speedup {speedup:.2f}x (floor {APSP_SPEEDUP_FLOOR}x)")
 
-    # Bit-identical results: same RNG sequence, exact integer distances.
-    assert inc.objective == full.objective, (
-        f"incremental APSP changed the SA objective: "
-        f"{inc.objective!r} != {full.objective!r}"
-    )
-    assert sorted(inc.topology.directed_links) == sorted(
-        full.topology.directed_links
-    ), "incremental APSP changed the SA search trajectory"
+    _assert_identical(inc, full)
 
     bench_record(
         n_routers=n,
@@ -129,6 +151,46 @@ def test_incremental_apsp_speedup(once, bench_record):
     assert speedup >= APSP_SPEEDUP_FLOOR, (
         f"incremental SA APSP only {speedup:.2f}x faster than full "
         f"recompute at n={n} (floor {APSP_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_small_sa_speedup(once, bench_record, monkeypatch):
+    rows, cols, link_class = SMALL_SA_CASE
+    args = (rows, cols, SMALL_SA_STEPS, link_class)
+
+    def harness():
+        full_s = inc_s = float("inf")
+        for _ in range(2):
+            s, full = _anneal_oracle(monkeypatch, *args, seed=0)
+            full_s = min(full_s, s)
+            s, inc = _anneal(*args, seed=0)
+            inc_s = min(inc_s, s)
+        return full_s, full, inc_s, inc
+
+    full_s, full, inc_s, inc = once(harness)
+    speedup = full_s / inc_s
+
+    label = f"{rows}x{cols}-{link_class}"
+    print(f"\nSA moves on {label} ({SMALL_SA_STEPS} steps, best of 2):")
+    print(f"  full        {full_s:7.2f}s  objective {full.objective:.1f}")
+    print(f"  incremental {inc_s:7.2f}s  objective {inc.objective:.1f}")
+    print(f"  speedup {speedup:.2f}x (floor {SMALL_SA_SPEEDUP_FLOOR}x)")
+
+    _assert_identical(inc, full)
+
+    bench_record(
+        grid=label,
+        n_routers=rows * cols,
+        sa_steps=SMALL_SA_STEPS,
+        full_wall_s=round(full_s, 3),
+        incremental_wall_s=round(inc_s, 3),
+        speedup=round(speedup, 3),
+        floor=SMALL_SA_SPEEDUP_FLOOR,
+        objective=full.objective,
+    )
+    assert speedup >= SMALL_SA_SPEEDUP_FLOOR, (
+        f"SA moves only {speedup:.2f}x faster than full recompute on "
+        f"{label} (floor {SMALL_SA_SPEEDUP_FLOOR}x)"
     )
 
 
@@ -268,7 +330,7 @@ def test_scale_timings(once, bench_record):
         rows_out = []
         for rows, cols in SCALE_GRIDS:
             n = rows * cols
-            sa_s, seed_result = _anneal(rows, cols, SCALE_SA_STEPS, "incremental")
+            sa_s, seed_result = _anneal(rows, cols, SCALE_SA_STEPS)
             topo = seed_result.topology
 
             t0 = time.perf_counter()

@@ -10,28 +10,33 @@ Moves rewire one directed link at a time, preserving in/out radix and the
 valid-link set; the cost is the exact objective (total hops for LatOp,
 negated sparsest cut for SCOp) evaluated on the candidate topology.
 
-The move loop is incremental: the adjacency matrix, in/out degree
-arrays, and the membership mask over the valid-link set are maintained
-across steps (swap applied in place, reverted on rejection) instead of
-being rebuilt from the link list per move, and candidate links are
-selected with one vectorized mask over the pre-indexed valid-link
-arrays.  Candidate ordering and the RNG call sequence match the original
-list-rebuilding implementation exactly, so results are unchanged — only
-the per-step cost drops from "rebuild everything" to one all-pairs
-shortest-path evaluation (the irreducible exact-objective part).
+The move loop, :func:`anneal_links`, is the one flat SA and the
+hierarchical stitch (:mod:`repro.pipeline.hierarchy`) both run; the
+stitch freezes the intra-cluster links.  It is incremental: the
+adjacency matrix, in/out degree arrays, and the membership mask over
+the candidate pool are maintained across steps (swap applied in place,
+reverted on rejection) instead of being rebuilt from the link list per
+move, candidate links are selected with one vectorized mask over the
+pre-indexed pool, and the hop matrix is updated by
+:class:`~repro.core.apsp.IncrementalAPSP`.  Candidate ordering and the
+RNG call sequence match the original list-rebuilding implementation
+exactly, so results are unchanged — only the per-step cost drops from
+"rebuild everything" to an affected-slice update of the hop matrix (the
+exact-objective part).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..topology import Layout, Topology, average_hops, sparsest_cut
-from .apsp import IncrementalAPSP, full_apsp
+from ..topology import Layout, Topology, sparsest_cut
+from .apsp import IncrementalAPSP
 from .netsmith import GenerationResult, NetSmithConfig
+
+Link = Tuple[int, int]
 
 
 def _total_hops(topo: Topology, weights: Optional[np.ndarray]) -> float:
@@ -49,10 +54,9 @@ def _initial_directed(
     radix: int,
     rng: np.random.Generator,
 ) -> List[Tuple[int, int]]:
-    """Random strongly-connected directed start: a ring through the grid
-    snake order plus random fill."""
+    """Random strongly-connected directed start: a bidirectional path
+    through the grid snake order plus random fill."""
     n = layout.n
-    # boustrophedon ring guarantees strong connectivity with short links
     snake = []
     for y in range(layout.rows):
         xs = range(layout.cols) if y % 2 == 0 else range(layout.cols - 1, -1, -1)
@@ -62,13 +66,9 @@ def _initial_directed(
         a, b = snake[k], snake[(k + 1) % n]
         links.add((a, b))
         links.add((b, a))
-    allowed_set = set(allowed)
-    links &= allowed_set  # wrap link may be too long; fix connectivity below
-    for k in range(n):
-        a, b = snake[k], snake[(k + 1) % n]
-        if (a, b) not in allowed_set:
-            # route the wrap through a neighbor chain: fall back to column 0
-            pass
+    # The wrap link may be too long for the class; the bidirectional
+    # snake path of unit links is strongly connected without it.
+    links &= set(allowed)
     out_deg = np.zeros(n, dtype=int)
     in_deg = np.zeros(n, dtype=int)
     for a, b in links:
@@ -84,6 +84,94 @@ def _initial_directed(
     return sorted(links)
 
 
+def anneal_links(
+    n: int,
+    frozen: Sequence[Link],
+    movable: Sequence[Link],
+    pool: Sequence[Link],
+    radix: int,
+    cost: Callable[[np.ndarray, np.ndarray], float],
+    rng: np.random.Generator,
+    steps: int,
+    t0: float = 8.0,
+    t1: float = 0.02,
+    symmetric: bool = False,
+) -> Tuple[List[Link], float]:
+    """The SA move loop of flat and hierarchical generation.
+
+    The topology is ``frozen + movable`` on ``n`` routers.  Each step
+    drops a uniformly drawn ``movable`` link, adds a uniformly drawn
+    absent ``pool`` link whose endpoints have radix headroom once the
+    drop is made (and, if ``symmetric``, whose reverse link is present),
+    and accepts by Metropolis on a geometric schedule from ``t0`` to
+    ``t1``.  ``cost(dist, adj)`` scores the exact hop matrix that
+    :class:`~repro.core.apsp.IncrementalAPSP` maintains across moves.
+    A link outside ``pool`` can be dropped but never added back.
+
+    Returns the best-cost set of non-frozen links seen, and its cost.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    for a, b in frozen:
+        adj[a, b] = True
+    for a, b in movable:
+        adj[a, b] = True
+    out_deg = adj.sum(axis=1)
+    in_deg = adj.sum(axis=0)
+    pool_arr = np.asarray(pool, dtype=np.intp)
+    p_src, p_dst = pool_arr[:, 0], pool_arr[:, 1]
+    pool_idx = {l: k for k, l in enumerate(pool)}
+    absent = ~adj[p_src, p_dst]
+
+    tracker = IncrementalAPSP(adj)
+    cur = list(movable)
+    cur_cost = cost(tracker.dist, adj)
+    best, best_cost = list(cur), cur_cost
+    if not cur:
+        return best, best_cost
+
+    for step in range(steps):
+        temp = t0 * (t1 / t0) ** (step / max(steps - 1, 1))
+        drop_idx = int(rng.integers(len(cur)))
+        da, db = dropped = cur[drop_idx]
+        # Free the dropped link's ports; candidates keep `pool` order.
+        out_deg[da] -= 1
+        in_deg[db] -= 1
+        ok = absent & (out_deg[p_src] < radix) & (in_deg[p_dst] < radix)
+        if symmetric:
+            ok &= adj[p_dst, p_src]  # reverse link present (pre-drop)
+        cands = ok.nonzero()[0]
+        if cands.size == 0:
+            out_deg[da] += 1
+            in_deg[db] += 1
+            continue
+        added_k = int(cands[int(rng.integers(cands.size))])
+        aa, ab = added = pool[added_k]
+        adj[da, db] = False
+        adj[aa, ab] = True
+        c = cost(tracker.candidate(adj, dropped, added), adj)
+        if c < cur_cost or rng.random() < math.exp(
+            -(c - cur_cost) / max(temp, 1e-9)
+        ):
+            tracker.commit()
+            del cur[drop_idx]
+            cur.append(added)
+            cur_cost = c
+            out_deg[aa] += 1
+            in_deg[ab] += 1
+            dropped_k = pool_idx.get(dropped)
+            if dropped_k is not None:
+                absent[dropped_k] = True
+            absent[added_k] = False
+            if c < best_cost:
+                best, best_cost = list(cur), c
+        else:
+            adj[aa, ab] = False
+            adj[da, db] = True
+            out_deg[da] += 1
+            in_deg[db] += 1
+    return best, best_cost
+
+
 def anneal_topology(
     config: NetSmithConfig,
     objective: str = "latency",
@@ -92,7 +180,6 @@ def anneal_topology(
     t0: float = 8.0,
     t1: float = 0.02,
     initial: Optional[Topology] = None,
-    apsp: str = "incremental",
 ) -> GenerationResult:
     """Simulated-annealing topology generation (NetSmith-SA).
 
@@ -107,14 +194,9 @@ def anneal_topology(
     bound-violating topology.  Without a bound the cost is exactly the
     historical unconstrained objective.
 
-    ``apsp`` selects how the per-move hop matrix is obtained:
-    ``"incremental"`` (default) maintains it across moves with
-    :class:`~repro.core.apsp.IncrementalAPSP` — only rows whose
-    shortest paths crossed the mutated link are recomputed —
-    ``"full"`` recomputes all pairs per move.  Both produce
-    bit-identical objectives and an identical RNG call sequence, so
-    results never depend on the choice (the scale benchmark asserts
-    it); ``"full"`` is kept as the A/B oracle.
+    Every link is movable (:func:`anneal_links`); an ``initial``
+    topology may carry links outside the valid-link set (e.g. polished
+    down from a longer link class), which moves can drop but never add.
     """
     layout = config.layout
     rng = np.random.default_rng(seed)
@@ -123,10 +205,6 @@ def anneal_topology(
 
     if objective == "sparsest_cut" and layout.n > 22:
         raise ValueError("sparsest-cut objective needs exact cuts (n <= 22)")
-    if apsp not in ("incremental", "full"):
-        raise ValueError(f"unknown apsp mode {apsp!r}")
-
-    n = layout.n
 
     # C8: with an explicit diameter bound, excess diameter is penalized
     # steeply enough to dominate any hop/cut difference, steering the
@@ -136,102 +214,27 @@ def anneal_topology(
     _DIAM_PENALTY = 1e7
 
     def cost_from_dist(d: np.ndarray, adj: np.ndarray) -> float:
-        if not np.isfinite(d).all():
-            return float("inf")
+        total = float(d.sum())  # inf iff some pair is unreachable
+        if total == math.inf:
+            return total
         penalty = 0.0
         if diam_bound is not None:
             penalty = _DIAM_PENALTY * max(0.0, float(d.max()) - diam_bound)
         if objective == "latency":
             w = config.traffic_weights
-            h = float(d.sum()) if w is None else float((d * w).sum())
+            h = total if w is None else float((d * w).sum())
             return h + penalty
         b = sparsest_cut(Topology.from_adjacency(layout, adj), exact=True).value
-        return -b * 1e4 + 1e-4 * float(d.sum()) + penalty
-
-    def cost_of(adj: np.ndarray) -> float:
-        return cost_from_dist(full_apsp(adj), adj)
+        return -b * 1e4 + 1e-4 * total + penalty
 
     if initial is not None:
         links = sorted(initial.directed_links)
     else:
         links = _initial_directed(layout, allowed, radix, rng)
-
-    # Pre-indexed valid-link set for vectorized candidate masks.
-    allowed_arr = np.asarray(allowed, dtype=np.intp)
-    a_src, a_dst = allowed_arr[:, 0], allowed_arr[:, 1]
-    allowed_idx = {l: k for k, l in enumerate(allowed)}
-
-    # Incremental state: maintained across steps, reverted on rejection.
-    # An `initial` topology may carry links outside the valid-link set
-    # (e.g. polished down from a longer link class); they participate in
-    # degrees/adjacency and can be dropped by moves, but never index the
-    # candidate mask — exactly the set-membership semantics of the
-    # original list-rebuilding loop.
-    adj = np.zeros((n, n), dtype=bool)
-    out_deg = np.zeros(n, dtype=np.intp)
-    in_deg = np.zeros(n, dtype=np.intp)
-    in_cur = np.zeros(len(allowed), dtype=bool)
-    for a, b in links:
-        adj[a, b] = True
-        out_deg[a] += 1
-        in_deg[b] += 1
-        k = allowed_idx.get((a, b))
-        if k is not None:
-            in_cur[k] = True
-
-    cur = list(links)
-    tracker = IncrementalAPSP(adj) if apsp == "incremental" else None
-    cur_cost = (
-        cost_from_dist(tracker.dist, adj) if tracker is not None
-        else cost_of(adj)
+    best, _ = anneal_links(
+        layout.n, (), links, allowed, radix, cost_from_dist, rng, steps,
+        t0=t0, t1=t1, symmetric=config.symmetric,
     )
-    best, best_cost = list(cur), cur_cost
-
-    for step in range(steps):
-        temp = t0 * (t1 / t0) ** (step / max(steps - 1, 1))
-        drop_idx = int(rng.integers(len(cur)))
-        da, db = dropped = cur[drop_idx]
-        # Same candidate set, in the same `allowed` order, as the
-        # original per-move list rebuild: links outside the current set
-        # whose endpoints have radix headroom once `dropped` is removed.
-        ok = (
-            ~in_cur
-            & (out_deg[a_src] - (a_src == da) < radix)
-            & (in_deg[a_dst] - (a_dst == db) < radix)
-        )
-        if config.symmetric:
-            ok &= adj[a_dst, a_src]  # reverse link present (pre-drop)
-        cands = np.nonzero(ok)[0]
-        if cands.size == 0:
-            continue
-        added_k = int(cands[int(rng.integers(cands.size))])
-        aa, ab = added = allowed[added_k]
-        adj[da, db] = False
-        adj[aa, ab] = True
-        if tracker is not None:
-            c = cost_from_dist(tracker.candidate(adj, dropped, added), adj)
-        else:
-            c = cost_of(adj)
-        if c < cur_cost or rng.random() < math.exp(
-            -(c - cur_cost) / max(temp, 1e-9)
-        ):
-            if tracker is not None:
-                tracker.commit()
-            cur = cur[:drop_idx] + cur[drop_idx + 1 :] + [added]
-            cur_cost = c
-            out_deg[da] -= 1
-            in_deg[db] -= 1
-            out_deg[aa] += 1
-            in_deg[ab] += 1
-            dropped_k = allowed_idx.get(dropped)
-            if dropped_k is not None:
-                in_cur[dropped_k] = False
-            in_cur[added_k] = True
-            if c < best_cost:
-                best, best_cost = list(cur), c
-        else:
-            adj[aa, ab] = False
-            adj[da, db] = True
 
     suffix = "LatOp" if objective == "latency" else "SCOp"
     topo = Topology(

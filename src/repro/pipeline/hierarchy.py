@@ -16,8 +16,9 @@ points are generated hierarchically:
    mid-border routers, which makes the cluster graph — and therefore
    the whole network — strongly connected;
 4. a stitching SA refines only the inter-cluster links (intra-cluster
-   links are frozen), reusing :class:`~repro.core.apsp.IncrementalAPSP`
-   so each move costs an affected-slice update instead of a full APSP.
+   links are frozen) with flat SA's move loop,
+   :func:`~repro.core.search.anneal_links`, so each move costs an
+   affected-slice update of the hop matrix instead of a full APSP.
 
 The result is a :class:`~repro.core.netsmith.GenerationResult` with
 status ``"hierarchical"``; the topology is named
@@ -32,8 +33,8 @@ from typing import List, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..core.apsp import IncrementalAPSP
 from ..core.netsmith import GenerationResult, NetSmithConfig
+from ..core.search import anneal_links, anneal_topology
 from ..topology import Layout, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,7 +99,6 @@ def _solve_cluster(
     tight limits), so a hierarchical point degrades rather than fails.
     """
     from ..core.netsmith import generate_latop
-    from ..core.search import anneal_topology
 
     cfg = NetSmithConfig(
         layout=cluster_layout,
@@ -184,6 +184,11 @@ def _seed_cross_links(
     return links
 
 
+def _hops_cost(dist: np.ndarray, adj: np.ndarray) -> float:
+    """The stitch's cost: total hops (``inf`` if any pair is cut off)."""
+    return float(dist.sum())
+
+
 def _stitch(
     layout: Layout,
     intra: List[Link],
@@ -192,85 +197,17 @@ def _stitch(
     radix: int,
     steps: int,
     seed: int,
-    t0: float = 8.0,
-    t1: float = 0.02,
 ) -> Tuple[List[Link], float]:
     """Anneal the inter-cluster links only; returns (links, total hops).
 
-    The move loop mirrors :func:`~repro.core.search.anneal_topology`
-    (drop one current cross link, add one valid cross link with radix
-    headroom, Metropolis accept) but the droppable set and the candidate
-    pool both exclude intra-cluster links, and the hop matrix is
-    maintained incrementally across moves.
+    The move loop is :func:`~repro.core.search.anneal_links`, the one
+    flat SA also runs, with the intra-cluster links frozen: only cross
+    links are dropped, and only valid cross links are added.
     """
-    n = layout.n
-    rng = np.random.default_rng(seed)
-
-    adj = np.zeros((n, n), dtype=bool)
-    out_deg = np.zeros(n, dtype=np.intp)
-    in_deg = np.zeros(n, dtype=np.intp)
-    for a, b in intra:
-        adj[a, b] = True
-        out_deg[a] += 1
-        in_deg[b] += 1
-    for a, b in cross:
-        adj[a, b] = True
-        out_deg[a] += 1
-        in_deg[b] += 1
-
-    allowed_arr = np.asarray(allowed_cross, dtype=np.intp)
-    a_src, a_dst = allowed_arr[:, 0], allowed_arr[:, 1]
-    allowed_idx = {l: k for k, l in enumerate(allowed_cross)}
-    in_cur = np.zeros(len(allowed_cross), dtype=bool)
-    for l in cross:
-        in_cur[allowed_idx[l]] = True
-
-    def cost_of(d: np.ndarray) -> float:
-        return float(d.sum()) if np.isfinite(d).all() else float("inf")
-
-    cur = list(cross)
-    tracker = IncrementalAPSP(adj)
-    cur_cost = cost_of(tracker.dist)
-    best, best_cost = list(cur), cur_cost
-
-    for step in range(steps):
-        if not cur:
-            break  # nothing stitchable (degenerate tiny instances)
-        temp = t0 * (t1 / t0) ** (step / max(steps - 1, 1))
-        drop_idx = int(rng.integers(len(cur)))
-        da, db = dropped = cur[drop_idx]
-        ok = (
-            ~in_cur
-            & (out_deg[a_src] - (a_src == da) < radix)
-            & (in_deg[a_dst] - (a_dst == db) < radix)
-        )
-        cands = np.nonzero(ok)[0]
-        if cands.size == 0:
-            continue
-        added_k = int(cands[int(rng.integers(cands.size))])
-        aa, ab = added = allowed_cross[added_k]
-        adj[da, db] = False
-        adj[aa, ab] = True
-        c = cost_of(tracker.candidate(adj, dropped, added))
-        if c < cur_cost or rng.random() < math.exp(
-            -(c - cur_cost) / max(temp, 1e-9)
-        ):
-            tracker.commit()
-            cur = cur[:drop_idx] + cur[drop_idx + 1 :] + [added]
-            cur_cost = c
-            out_deg[da] -= 1
-            in_deg[db] -= 1
-            out_deg[aa] += 1
-            in_deg[ab] += 1
-            in_cur[allowed_idx[dropped]] = False
-            in_cur[added_k] = True
-            if c < best_cost:
-                best, best_cost = list(cur), c
-        else:
-            adj[aa, ab] = False
-            adj[da, db] = True
-
-    return best, best_cost
+    return anneal_links(
+        layout.n, intra, cross, allowed_cross, radix, _hops_cost,
+        np.random.default_rng(seed), steps,
+    )
 
 
 def generate_hierarchical(point: "DesignPoint") -> GenerationResult:

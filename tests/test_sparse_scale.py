@@ -5,8 +5,10 @@ Everything here pins an equivalence or a contract introduced by the
 sparse refactor:
 
 * ``IncrementalAPSP`` is bitwise-equal to the full recompute across
-  random link swaps, and ``anneal_topology`` produces identical results
-  under either ``apsp`` mode;
+  random link swaps on both sides of its dense/scipy BFS selection,
+  ``anneal_topology`` gives identical results on the full-recompute
+  oracle (``tests/apsp_oracle.py``), and flat and hierarchical SA
+  results match golden digests;
 * ``CSRRoutingTable`` round-trips losslessly and rejects tables that
   are not destination-consistent;
 * the ``bfs`` policy yields validated shortest-path tables, compiles
@@ -18,16 +20,21 @@ sparse refactor:
 * the cache stores large entries compressed and reads both forms.
 """
 
+import hashlib
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+import apsp_oracle
+from repro.core import apsp, search
 from repro.core.apsp import IncrementalAPSP, full_apsp
 from repro.core.netsmith import NetSmithConfig
 from repro.core.search import anneal_topology
 from repro.pipeline import DesignPoint, evaluate_tables, generate_points
+from repro.pipeline.hierarchy import _replicate, _seed_cross_links, _stitch
 from repro.routing.dest_tree import bfs_dest_table, layer_destinations
 from repro.routing.tables import CSRRoutingTable
 from repro.runner import tasks as _tasks
@@ -43,23 +50,77 @@ def _sa_topology(rows, cols, seed=0, steps=200, link_class="medium"):
     return anneal_topology(cfg, steps=steps, seed=seed).topology
 
 
+def _digest(objective, links):
+    """A short content digest of an SA result: objective and link set."""
+    doc = json.dumps([objective, sorted([list(l) for l in links])])
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def _snake_cluster(cr, cc):
+    """A fixed representative cluster: the bidirectional snake path."""
+    cl = Layout(rows=cr, cols=cc)
+    order = []
+    for y in range(cr):
+        xs = range(cc) if y % 2 == 0 else range(cc - 1, -1, -1)
+        order.extend(cl.router_at(x, y) for x in xs)
+    return Topology.from_undirected(cl, zip(order, order[1:]), name="snake")
+
+
+def _stitch_inputs(rows, cols, cr, cc, radix=4, link_class="medium"):
+    """``_stitch``'s inputs as ``generate_hierarchical`` builds them, from
+    a fixed cluster instead of a time-limited MILP solve."""
+    layout = Layout(rows=rows, cols=cols)
+    kr, kc = rows // cr, cols // cc
+    intra = _replicate(layout, _snake_cluster(cr, cc), kr, kc)
+    out_deg = np.zeros(layout.n, dtype=np.intp)
+    in_deg = np.zeros(layout.n, dtype=np.intp)
+    for a, b in intra:
+        out_deg[a] += 1
+        in_deg[b] += 1
+    cross = _seed_cross_links(layout, cr, cc, kr, kc, out_deg, in_deg, radix)
+
+    def cluster_of(r):
+        x, y = layout.position(r)
+        return (y // cr, x // cc)
+
+    allowed = [
+        (a, b) for a, b in layout.valid_links(link_class)
+        if cluster_of(a) != cluster_of(b)
+    ]
+    return layout, intra, cross, allowed
+
+
 class TestIncrementalAPSP:
-    def test_random_swaps_bitwise_equal_to_full(self):
+    # 4x5 takes only the dense BFS, 16x16 only scipy's, 8x6 both.
+    @pytest.mark.parametrize(
+        "rows,cols,link_class,paths",
+        [
+            (4, 5, "small", {"dense"}),
+            (8, 6, "medium", {"dense", "scipy"}),
+            (16, 16, "medium", {"scipy"}),
+        ],
+        ids=["4x5-small", "8x6-medium", "16x16-medium"],
+    )
+    def test_random_swaps_bitwise_equal_to_full(
+        self, monkeypatch, rows, cols, link_class, paths
+    ):
         rng = np.random.default_rng(3)
-        topo = _sa_topology(4, 5, seed=3)
+        topo = _sa_topology(rows, cols, seed=3, link_class=link_class)
+        used = set()
+        for name in ("dense", "scipy"):
+            def spy(adj, sources, name=name, bfs=getattr(apsp, f"_{name}_bfs")):
+                used.add(name)
+                return bfs(adj, sources)
+
+            monkeypatch.setattr(apsp, f"_{name}_bfs", spy)
         adj = topo.adj.copy()
         tracker = IncrementalAPSP(adj)
         links = sorted(topo.directed_links)
-        n = topo.n
+        off_diagonal = ~np.eye(topo.n, dtype=bool)
         for _ in range(40):
             da, db = links[int(rng.integers(len(links)))]
-            cands = [
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if a != b and not adj[a, b] and (a, b) != (da, db)
-            ]
-            aa, ab = cands[int(rng.integers(len(cands)))]
+            cands = np.argwhere(~adj & off_diagonal)  # row-major order
+            aa, ab = (int(x) for x in cands[int(rng.integers(len(cands)))])
             adj[da, db] = False
             adj[aa, ab] = True
             got = tracker.candidate(adj, (da, db), (aa, ab))
@@ -73,24 +134,55 @@ class TestIncrementalAPSP:
             else:
                 adj[aa, ab] = False
                 adj[da, db] = True
+        assert used == paths
 
-    def test_anneal_modes_identical(self):
+    def test_anneal_modes_identical(self, monkeypatch):
         cfg = NetSmithConfig(
             layout=Layout(rows=4, cols=5), link_class="medium", radix=4
         )
-        inc = anneal_topology(cfg, steps=300, seed=5, apsp="incremental")
-        full = anneal_topology(cfg, steps=300, seed=5, apsp="full")
+        inc = anneal_topology(cfg, steps=300, seed=5)
+        monkeypatch.setattr(search, "IncrementalAPSP", apsp_oracle.FullAPSP)
+        full = anneal_topology(cfg, steps=300, seed=5)
         assert inc.objective == full.objective
         assert sorted(inc.topology.directed_links) == sorted(
             full.topology.directed_links
         )
 
-    def test_unknown_mode_rejected(self):
+    # (objective, digest) of each run before the dense BFS and the shared
+    # move loop landed: both must leave every SA result bit-identical.
+    @pytest.mark.parametrize(
+        "rows,cols,link_class,steps,golden",
+        [
+            (4, 5, "small", 6000, (903.0, "3bd42a91e72e44f5")),
+            (4, 5, "medium", 6000, (797.0, "6d7960c4b45714f5")),
+            (8, 6, "medium", 3000, (6934.0, "06e62d6869a7a7ac")),
+            (16, 16, "medium", 150, (507779.0, "a0b653cab422f1a4")),
+        ],
+        ids=["4x5-small", "4x5-medium", "8x6-medium", "16x16-medium"],
+    )
+    def test_anneal_matches_golden(self, rows, cols, link_class, steps, golden):
         cfg = NetSmithConfig(
-            layout=Layout(rows=2, cols=2), link_class="medium", radix=4
+            layout=Layout(rows=rows, cols=cols), link_class=link_class,
+            radix=4,
         )
-        with pytest.raises(ValueError, match="apsp"):
-            anneal_topology(cfg, steps=1, apsp="nope")
+        g = anneal_topology(cfg, steps=steps, seed=0)
+        assert (g.objective, _digest(g.objective, g.topology.directed_links)) == golden
+
+    @pytest.mark.parametrize(
+        "rows,cols,cr,cc,steps,golden",
+        [
+            (8, 8, 2, 2, 400, (17130.0, "ec5b80c114f06b5e")),
+            (8, 8, 4, 4, 400, (27541.0, "326c3058521c3b41")),
+            (16, 16, 4, 4, 150, (885869.0, "7e55459c4e8f2568")),
+        ],
+        ids=["8x8-2x2", "8x8-4x4", "16x16-4x4"],
+    )
+    def test_stitch_matches_golden(self, rows, cols, cr, cc, steps, golden):
+        layout, intra, cross, allowed = _stitch_inputs(rows, cols, cr, cc)
+        links, cost = _stitch(
+            layout, intra, cross, allowed, 4, steps=steps, seed=0
+        )
+        assert (cost, _digest(cost, links)) == golden
 
 
 class TestCSRRoutingTable:
