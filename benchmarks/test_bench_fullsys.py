@@ -1,24 +1,31 @@
-"""Closed-loop engine benchmark: fast full-system engine vs reference.
+"""Closed-loop engine benchmark: fast full-system engine vs the oracle.
 
 Runs the Fig. 8-style PARSEC sweep over the medium-class roster (plus
-the mesh baseline) with both closed-loop engines, verifies the
-:class:`~repro.fullsys.speedup.WorkloadResult` values are bit-identical,
-and reports the wall-clock speedup.  The fast engine shares the
-open-loop engine's compiled-network + worklist/sleep machinery and
-replays the reference's scalar demand/destination draws from raw PCG64
-words; low-MPKI benchmarks (mostly-idle networks, where sleeping routers
-skip whole cycles) clear 4x+, while MLP-saturated high-MPKI benchmarks
-are arbitration-bound and land near 2.5x.  The asserted aggregate floor
-is 3x (measured ~3.5x); per-pair ratios are printed and persisted to
-``BENCH_fullsys.json`` either way.
+the mesh baseline) through :func:`~repro.fullsys.speedup.run_workload`
+twice per pair: as production runs it, and with the reference oracle
+(``tests/closedloop_oracle.py``) substituted for the production engine.
+It verifies the :class:`~repro.fullsys.speedup.WorkloadResult` values
+are bit-identical and reports the wall-clock speedup.  The fast engine
+shares the open-loop engine's compiled-network + worklist/sleep
+machinery and replays the reference's scalar demand/destination draws
+from raw PCG64 words; low-MPKI benchmarks (mostly-idle networks, where
+sleeping routers skip whole cycles) clear 4x+, while MLP-saturated
+high-MPKI benchmarks are arbitration-bound and land near 2.5x.  The
+asserted aggregate floor is 3x (measured ~3.5x); per-pair ratios are
+printed and persisted to ``BENCH_fullsys.json`` either way.
 """
 
+import os
+import sys
 import time
 
 from repro.experiments.registry import NDBT, roster, routed_entry, routed_table
 from repro.fullsys import PARSEC
 from repro.fullsys.speedup import run_workload
 from repro.topology import expert_topology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
+import closedloop_oracle  # noqa: E402  (test-only reference engine)
 
 REPS = 3  # interleaved repetitions; min cancels scheduler noise
 
@@ -34,20 +41,22 @@ LOW_MPKI_FLOOR = 4.0
 BUDGET = dict(warmup=400, measure=1500, seed=0)
 
 
-def _timed_runs(table, workload):
+def _timed_runs(monkeypatch, table, workload):
     best = {"reference": float("inf"), "fast": float("inf")}
     results = {}
     for _ in range(REPS):
-        for engine in ("reference", "fast"):
-            t0 = time.perf_counter()
-            results[engine] = run_workload(
-                table, workload, engine=engine, **BUDGET
-            )
-            best[engine] = min(best[engine], time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        results["reference"] = closedloop_oracle.run_on_oracle(
+            monkeypatch, run_workload, table, workload, **BUDGET
+        )
+        best["reference"] = min(best["reference"], time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        results["fast"] = run_workload(table, workload, **BUDGET)
+        best["fast"] = min(best["fast"], time.perf_counter() - t0)
     return best, results
 
 
-def test_closed_loop_speedup_parsec_medium(once, bench_record):
+def test_closed_loop_speedup_parsec_medium(once, bench_record, monkeypatch):
     mesh_table = routed_table(expert_topology("Mesh", 20), NDBT, seed=0)
     entries = roster("medium", 20, allow_generate=False)
     tables = [("Mesh", mesh_table)] + [
@@ -57,7 +66,7 @@ def test_closed_loop_speedup_parsec_medium(once, bench_record):
 
     def harness():
         return {
-            (w.name, name): _timed_runs(table, w)
+            (w.name, name): _timed_runs(monkeypatch, table, w)
             for w in workloads
             for name, table in tables
         }

@@ -16,20 +16,21 @@ Commands mirror the library's pipeline:
 ``--parallel N`` (fan sim points across N worker processes; 0 = all
 cores), ``--cache-dir PATH`` (on-disk result cache location, default
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``), ``--no-cache`` (bypass the
-cache entirely), and ``--engine fast|reference|turbo`` (the default
-fast engine — flat arrays, pre-generated vectorized traffic traces, one
-compiled network shared per routed topology — the reference oracle
-with identical results, or the batched turbo engine: statistically
-validated against the reference rather than bit-exact, and without
-fault-schedule support).  ``simulate`` additionally takes ``--seeds N``
-(N seed replicas per rate, reported as mean +- 95% CI; on the exact
-engines they combine with ``--faults``, and turbo advances each wave's
-replicas as lanes of one batched call).  The flags cover the
-open-loop sweeps
-(fig6/7/10/11) and the full-system closed-loop PARSEC sweep (``repro
-run fig8``), whose (benchmark, topology) runs fan out and cache the
-same way.  Results are bit-identical at any worker count; a cached
-rerun skips simulation outright.
+cache entirely), and ``--engine fast|reference|turbo`` for open-loop
+simulation (the default fast engine — flat arrays, pre-generated
+vectorized traffic traces, one compiled network shared per routed
+topology — the reference oracle with identical results, or the batched
+turbo engine: statistically validated against the reference rather than
+bit-exact, and without fault-schedule support).  ``simulate``
+additionally takes ``--seeds N`` (N seed replicas per rate, reported as
+mean +- 95% CI; on the exact engines they combine with ``--faults``, and
+turbo advances each wave's replicas as lanes of one batched call).  The
+runner flags cover the open-loop sweeps (fig6/7/10/11) and the
+full-system closed-loop runs (``repro run fig8``/``recovery``), whose
+(benchmark, topology) runs fan out and cache the same way; closed-loop
+runs always use the fast closed-loop engine and ignore ``--engine``.
+Results are bit-identical at any worker count; a cached rerun skips
+simulation outright.
 
 Execution is supervised: ``--task-timeout SEC`` bounds each task
 attempt's wall clock, ``--task-retries N`` bounds retries for transient
@@ -440,7 +441,8 @@ def cmd_run(args) -> int:
         for name, desc in list_experiments():
             print(f"{name:<16} {desc}")
         print()
-        print("sim engines: fast (default) | reference | turbo  (--engine)")
+        print("open-loop sim engines: fast (default) | reference | turbo  "
+              "(--engine)")
         print(f"simulate traffic patterns: {', '.join(TRAFFIC_CHOICES)}")
         return 0
     runner = _make_runner(args)
@@ -538,12 +540,13 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", choices=("fast", "reference", "turbo"), default="fast",
-        help="simulation engine for open-loop sweeps and closed-loop "
-             "full-system runs: the fast engine (default; flat arrays, "
-             "pre-generated traffic traces, compiled-network reuse), the "
-             "reference oracle (bit-identical to fast), or the batched "
-             "turbo engine (statistically validated against the "
-             "reference, not bit-exact; no --faults support)",
+        help="simulation engine for open-loop sweeps: the fast engine "
+             "(default; flat arrays, pre-generated traffic traces, "
+             "compiled-network reuse), the reference oracle "
+             "(bit-identical to fast), or the batched turbo engine "
+             "(statistically validated against the reference, not "
+             "bit-exact; no --faults support).  Closed-loop runs "
+             "(fig8, recovery) ignore it",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SEC",

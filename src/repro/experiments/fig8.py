@@ -55,14 +55,11 @@ def fig8_results(
     allow_generate: bool = True,
     max_entries_per_class: Optional[int] = None,
     runner: Optional["Runner"] = None,
-    engine: Optional[str] = None,
 ) -> Fig8Result:
     """With a :class:`~repro.runner.Runner`, every (benchmark, topology)
     closed-loop run fans out across workers and lands in the result
     cache; without one, the serial sweep runs.  Rows are identical
-    either way.  ``engine`` pins the closed-loop engine
-    ("fast"/"reference"); ``None`` uses the runner's default (or the
-    fast engine serially) — both engines produce identical results."""
+    either way."""
     mesh_table = routed_table(
         expert_topology("Mesh", n_routers), NDBT, seed=seed, runner=runner
     )
@@ -89,6 +86,5 @@ def fig8_results(
         warmup=warmup,
         measure=measure,
         runner=runner,
-        engine=engine,
     )
     return Fig8Result(rows=rows, geomean=geomean_speedups(rows))

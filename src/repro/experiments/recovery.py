@@ -212,7 +212,6 @@ def recovery_grid(
     retry: Optional[RetryPolicy] = None,
     tolerance: float = 0.25,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> RecoveryResult:
     """Measure recovery transients over the flap-scenario grid.
 
@@ -225,7 +224,7 @@ def recovery_grid(
         with Runner(parallel=1) as ephemeral:
             return recovery_grid(
                 topologies, workloads, n_routers, ephemeral, fast,
-                out_dir, retry, tolerance, seed, engine,
+                out_dir, retry, tolerance, seed,
             )
     retry = retry or DEFAULT_RETRY
 
@@ -248,7 +247,7 @@ def recovery_grid(
                 jobs.append(RecoveryJob(
                     table=table, workload=profile, faults=schedule,
                     retry=retry, total=total, window=window,
-                    seed=seed, engine=engine,
+                    seed=seed,
                 ))
     window_series: List[List[WindowSample]] = runner.recoveries(jobs)
 
@@ -282,7 +281,6 @@ def recovery_grid(
             "retry": retry.as_dict(),
             "tolerance": tolerance,
             "seed": seed,
-            "engine": engine,
         },
     )
     if out_dir is not None:

@@ -16,6 +16,7 @@ simulator's routing table.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -112,7 +113,7 @@ def roster(
     return entries
 
 
-_table_cache: Dict[Tuple[str, int, str, str], RoutingTable] = {}
+_table_cache: Dict[Tuple[str, Optional[str], str], RoutingTable] = {}
 
 
 def _memo_key(
@@ -121,20 +122,22 @@ def _memo_key(
     seed: int,
     max_vcs: Optional[int] = None,
     time_limit: float = 60.0,
-) -> Tuple:
+) -> Tuple[str, Optional[str], str]:
     """In-process memo key, shared by every routed-table entry point.
 
-    Everything that changes the compiled table participates — including
-    the VC budget and the MCLB solve budget, which are caller-tunable.
+    The routing task's own identity — layout, link set, policy, seed,
+    VC budget and MCLB solve budget, as
+    :func:`~repro.runner.tasks.routing_payload` builds it — plus the
+    name and link class the returned table carries.  Two topologies
+    that share a name and a link count but not their links get
+    different tables.
     """
-    from ..runner.tasks import default_max_vcs
+    from ..runner.tasks import default_max_vcs, routing_payload
 
     if max_vcs is None:
         max_vcs = default_max_vcs(topo.n)
-    return (
-        topo.name, topo.n, policy,
-        f"{seed}/{topo.num_directed_links}", max_vcs, time_limit,
-    )
+    payload = routing_payload(topo, policy, seed, max_vcs, time_limit)
+    return (topo.name, topo.link_class, json.dumps(payload, sort_keys=True))
 
 
 def routed_table(

@@ -5,17 +5,12 @@ from .closedloop import (
     CDC_LATENCY,
     DIRECTORY_LATENCY_NS,
     MEMORY_LATENCY_NS,
-    ClosedLoopSimulator,
     ClosedLoopStats,
     RetryPolicy,
     validate_closed_loop,
     validate_closed_loop_faults,
 )
-from .fastloop import (
-    CLOSED_ENGINES,
-    FastClosedLoopSimulator,
-    resolve_closed_loop_engine,
-)
+from .fastloop import FastClosedLoopSimulator
 from .speedup import (
     CORE_CLOCK_GHZ,
     Figure8Row,
@@ -28,10 +23,7 @@ from .speedup import (
 from .workloads import BY_NAME, PARSEC, WorkloadProfile, workload
 
 __all__ = [
-    "ClosedLoopSimulator",
     "FastClosedLoopSimulator",
-    "CLOSED_ENGINES",
-    "resolve_closed_loop_engine",
     "validate_closed_loop",
     "validate_closed_loop_faults",
     "RetryPolicy",

@@ -1,13 +1,14 @@
-"""Flat-array fast engine for closed-loop (request/response) simulation.
+"""Flat-array closed-loop (request/response) engine: the production one.
 
-:class:`FastClosedLoopSimulator` is to :class:`~repro.fullsys.closedloop.
-ClosedLoopSimulator` what :class:`~repro.sim.fastnet.FastNetworkSimulator`
-is to the reference open-loop engine: identical cycle-level semantics,
-identical RNG draw order, bit-identical :class:`~repro.fullsys.closedloop.
-ClosedLoopStats` (pinned by the differential suites in
-``tests/test_fastloop.py`` and ``tests/test_closedloop_faults.py``) —
-built on the same compiled-network flat arrays and worklist/sleep
-arbitration machinery.
+:class:`FastClosedLoopSimulator` runs every closed-loop simulation
+(Fig. 8, the report's PARSEC section, the recovery grid) on the open-loop
+:class:`~repro.sim.fastnet.FastNetworkSimulator`'s compiled-network
+flat arrays and worklist/sleep arbitration.  Its contract is the
+reference engine's cycle-level semantics and RNG draw order, down to
+bit-identical :class:`~repro.fullsys.closedloop.ClosedLoopStats`: the
+differential suites in ``tests/test_fastloop.py`` and
+``tests/test_closedloop_faults.py`` pin it to the oracle in
+``tests/closedloop_oracle.py``.
 
 Closed-loop traffic cannot be trace-fed: whether a router draws at all
 on a given cycle depends on its outstanding-request count, which depends
@@ -27,15 +28,13 @@ fused loop exposes:
 
 The reference engine's draws are scalar ``Generator`` calls —
 ``random()`` per demand/memory-fraction decision, ``integers(k)`` per
-target pick.  For every built-in traffic pattern (anything carrying a
-:class:`~repro.sim.traffic.DestSpec`) this engine replays that exact
-stream from buffered **raw 64-bit PCG64 words** (:mod:`repro.sim.
-rngstream`): doubles are ``(word >> 11) * 2**-53``, bounded draws are
-Lemire-32 over the half-word stream with the bit generator's
-``has_uint32`` cache tracked arithmetically — plain Python integer ops
-instead of per-draw Generator dispatch.  Spec-less custom patterns fall
-back to real Generator calls (still bit-identical, just slower).
-Backoff delays come from the policy's *dedicated* RNG
+target pick.  This engine replays that exact stream from buffered **raw
+64-bit PCG64 words** (:mod:`repro.sim.rngstream`), following the
+pattern's :class:`~repro.sim.traffic.DestSpec` for destinations: doubles
+are ``(word >> 11) * 2**-53``, bounded draws are Lemire-32 over the
+half-word stream with the bit generator's ``has_uint32`` cache tracked
+arithmetically — plain Python integer ops instead of per-draw Generator
+dispatch.  Backoff delays come from the policy's *dedicated* RNG
 (:class:`~repro.fullsys.closedloop.RetryPolicy`), so the retry machinery
 never perturbs the replayed packet-draw stream.
 
@@ -72,8 +71,6 @@ from .closedloop import (
     DIRECTORY_LATENCY_NS,
     MEMORY_LATENCY_NS,
     ClosedLoopRetryCore,
-    ClosedLoopSimulator,
-    ClosedLoopStats,
     RetryPolicy,
     validate_closed_loop,
 )
@@ -88,7 +85,7 @@ _U32 = 0xFFFFFFFF
 
 
 class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
-    """Flat-array drop-in for :class:`ClosedLoopSimulator` (same stats)."""
+    """Request/response simulation with bounded outstanding requests."""
 
     #: Construction validates that any fault schedule comes with a
     #: RetryPolicy, so the fused loop's epoch segmentation is safe here.
@@ -153,37 +150,19 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
         self._wval = 0
 
         spec = traffic.dest_spec
-        # Custom pattern (no spec): real Generator calls, same draw order.
-        self._emulated = spec is not None
-        if self._emulated:
-            self._kind = _KIND[spec.kind]
-            self._dtable = (
-                spec.table.tolist() if spec.table is not None else None
-            )
-            self._dbounds = (
-                spec.bounds.tolist() if spec.bounds is not None else None
-            )
-            self._dthresh = (
-                [(1 << 32) % b if b >= 2 else 0 for b in self._dbounds]
-                if self._dbounds is not None else None
-            )
-            self._uni_thresh = (1 << 32) % (n - 1) if n - 1 >= 2 else 0
-            self._hot_fraction = spec.hot_fraction
+        self._kind = _KIND[spec.kind]
+        self._dtable = spec.table.tolist() if spec.table is not None else None
+        self._dbounds = (
+            spec.bounds.tolist() if spec.bounds is not None else None
+        )
+        self._dthresh = (
+            [(1 << 32) % b if b >= 2 else 0 for b in self._dbounds]
+            if self._dbounds is not None else None
+        )
+        self._uni_thresh = (1 << 32) % (n - 1) if n - 1 >= 2 else 0
+        self._hot_fraction = spec.hot_fraction
 
     # -- engine adapters -------------------------------------------------------
-    # The hooks are bound on access, never stored on the instance: a
-    # bound method kept in its own instance's attributes is a reference
-    # cycle, which would leave every finished simulator to the cyclic GC.
-    @property
-    def _closed_gen(self):
-        if self._emulated:
-            return self._generate_emulated
-        return self._generate_fallback
-
-    @property
-    def _closed_eject(self):
-        return self._eject_closed
-
     def _unroutable(self, node: int, dst: int) -> bool:
         return not self.flow_ok[node * self.n + dst]
 
@@ -210,8 +189,12 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
             pid += 1
         return pending, in_flight, pid
 
-    # -- generation hooks ------------------------------------------------------
-    def _generate_emulated(self, cycle, pending, in_flight, pid):
+    # -- engine hooks ----------------------------------------------------------
+    # Both hooks are plain methods, bound on access and never stored on
+    # the instance: a bound method kept in its own instance's attributes
+    # is a reference cycle, which would leave every finished simulator
+    # to the cyclic GC.
+    def _closed_gen(self, cycle, pending, in_flight, pid):
         """Demand-driven injection, draws replayed from raw PCG64 words.
 
         The retry tick runs first (retransmissions precede a node's
@@ -381,79 +364,6 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
             return self._release_replies(cycle, pending, in_flight, pid)
         return pending, in_flight, pid
 
-    def _generate_fallback(self, cycle, pending, in_flight, pid):
-        """Spec-less custom patterns: the same loop over real Generator
-        calls (``random()``/``integers``/``dest_fn``) — bit-identical by
-        construction, without the raw-word savings."""
-        retry = self.retry
-        if retry is not None and (
-            (self._deadline_q and self._deadline_q[0][0] <= cycle)
-            or (self._retry_q and self._retry_q[0][0] <= cycle)
-        ):
-            pending, in_flight, pid = self._retransmit(
-                cycle, pending, in_flight, pid
-            )
-        rng = self.rng
-        rng_random = rng.random
-        rng_integers = rng.integers
-        dest = self.traffic.dest_fn
-        outstanding = self.outstanding
-        mlp = self.mlp
-        demand = self.demand_rate
-        memf = self.memory_fraction
-        source_q = self.source_q
-        vc_of = self.vc_of
-        inj_key = self.inj_key
-        n = self.n
-        mc_rows = self._mc_rows
-        req_size = CONTROL_FLITS
-        txn = self.txn
-        tid_c = self._tid
-        issued = self.issued
-        faulty = self._faulty
-        flow_ok = self.flow_ok
-        dq = self._deadline_q
-        timeout = retry.timeout if retry is not None else 0
-
-        for node in range(n):
-            if outstanding[node] >= mlp:
-                continue
-            if rng_random() >= demand:
-                continue
-            if rng_random() < memf:
-                is_mem = 1
-                row = mc_rows[node]
-                dst = row[int(rng_integers(len(row)))]
-            else:
-                is_mem = 0
-                dst = dest(node, rng)
-            tid = tid_c
-            tid_c += 1
-            txn[tid] = [node, dst, is_mem, cycle, 0, 0]  # 0 == _IN_NET
-            issued += 1
-            outstanding[node] += 1
-            if faulty and not flow_ok[node * n + dst]:
-                self._defer_new(tid, cycle)
-                continue
-            f = node * n + dst
-            source_q[node].append(
-                (vc_of[f], inj_key[f], req_size, dst,
-                 (tid << 33) | (cycle << 1) | is_mem)
-            )
-            pending |= 1 << node
-            in_flight += 1
-            pid += 1
-            if retry is not None:
-                heappush(dq, (cycle + timeout, tid, 0))
-
-        self._tid = tid_c
-        self.issued = issued
-
-        replies = self.pending_replies
-        if replies and replies[0][0] <= cycle:
-            return self._release_replies(cycle, pending, in_flight, pid)
-        return pending, in_flight, pid
-
     def _release_replies(self, cycle, pending, in_flight, pid):
         """Move matured replies into their servers' source queues, after
         the cycle's request injection — the reference's ``_generate``
@@ -485,8 +395,7 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
             pid += 1
         return pending, in_flight, pid
 
-    # -- ejection hook ---------------------------------------------------------
-    def _eject_closed(self, cycle, rec, in_flight):
+    def _closed_eject(self, cycle, rec, in_flight):
         """Mirror of the reference ``_on_eject``: live requests schedule
         their reply after the service latency; returning replies retire
         the transaction and account the round trip.  Stale packets —
@@ -545,21 +454,3 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
                 self.cycle,
             )
 
-
-#: Closed-loop engine name -> simulator class (same names as the
-#: open-loop :data:`repro.sim.fastnet.ENGINES`).
-CLOSED_ENGINES = {
-    "reference": ClosedLoopSimulator,
-    "fast": FastClosedLoopSimulator,
-}
-
-
-def resolve_closed_loop_engine(engine: str):
-    """Map an engine name to its closed-loop simulator class."""
-    try:
-        return CLOSED_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown closed-loop engine {engine!r}: expected one of "
-            f"{sorted(CLOSED_ENGINES)}"
-        ) from None

@@ -13,7 +13,10 @@ core clocks (Table IV: cores at 3.8 GHz; NoI at its link-class clock),
 and ``mlp`` divides the exposed latency by the core's overlap factor.
 
 Speedups are reported relative to the mesh baseline, as in Fig. 8, along
-with the packet-latency reduction (Fig. 8's right axis).
+with the packet-latency reduction (Fig. 8's right axis).  Every
+closed-loop run here is a :class:`~repro.fullsys.fastloop.
+FastClosedLoopSimulator`; tests substitute the reference oracle for it
+by patching this module's ``FastClosedLoopSimulator``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from ..routing.tables import RoutingTable
-from ..sim.fastnet import DEFAULT_ENGINE
 from ..sim.traffic import uniform_random
 from ..topology.layout import CLASS_CLOCK_GHZ
-from .closedloop import ClosedLoopSimulator, ClosedLoopStats
-from .fastloop import resolve_closed_loop_engine
+from .fastloop import FastClosedLoopSimulator
 from .workloads import PARSEC, WorkloadProfile
 
 if TYPE_CHECKING:
@@ -71,7 +72,6 @@ def _build_closed_loop(
     workload: WorkloadProfile,
     link_class: Optional[str],
     seed: int,
-    engine: str,
     faults=None,
     retry=None,
 ):
@@ -80,7 +80,7 @@ def _build_closed_loop(
     topo = table.topology
     cls = link_class or topo.link_class or "small"
     clock = CLASS_CLOCK_GHZ[cls]
-    sim = resolve_closed_loop_engine(engine)(
+    sim = FastClosedLoopSimulator(
         table,
         uniform_random(topo.n),
         demand_rate=demand_rate_for(workload),
@@ -101,15 +101,11 @@ def run_workload(
     warmup: int = 600,
     measure: int = 2500,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
     faults=None,
     retry=None,
 ) -> WorkloadResult:
     """Closed-loop simulation of one benchmark on one routed topology.
 
-    ``engine`` picks the closed-loop simulator implementation (the
-    ``"fast"`` flat-array engine, the default, or the ``"reference"``
-    oracle); both produce identical results for identical inputs.
     ``faults`` degrades the run with a
     :class:`~repro.faults.FaultSchedule` (which requires ``retry``, a
     :class:`~repro.fullsys.closedloop.RetryPolicy`, so in-flight
@@ -117,7 +113,7 @@ def run_workload(
     """
     topo = table.topology
     sim, clock = _build_closed_loop(
-        table, workload, link_class, seed, engine, faults=faults, retry=retry,
+        table, workload, link_class, seed, faults=faults, retry=retry,
     )
     stats = sim.run_closed_loop(warmup, measure)
     rtt_noi_cycles = stats.avg_round_trip_cycles
@@ -141,7 +137,6 @@ def run_recovery_windows(
     total: int = 1400,
     window: int = 50,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
     faults=None,
     retry=None,
 ):
@@ -153,7 +148,7 @@ def run_recovery_windows(
     tolerance knobs never enter the cache key).
     """
     sim, _clock = _build_closed_loop(
-        table, workload, link_class, seed, engine, faults=faults, retry=retry,
+        table, workload, link_class, seed, faults=faults, retry=retry,
     )
     return sim.run_windows(total, window)
 
@@ -175,7 +170,6 @@ def parsec_sweep(
     warmup: int = 600,
     measure: int = 2500,
     runner: Optional["Runner"] = None,
-    engine: Optional[str] = None,
 ) -> List[Figure8Row]:
     """Fig. 8: per-benchmark speedup and latency reduction vs mesh.
 
@@ -183,9 +177,7 @@ def parsec_sweep(
     simulation.  With a :class:`~repro.runner.Runner` they all fan out
     as ``closed_loop`` tasks — parallel across workers, content-hash
     cached on disk — and reassemble positionally, so the rows are
-    bit-identical to the serial loop at any worker count.  ``engine``
-    pins the closed-loop engine; ``None`` uses the runner's default
-    (or the fast engine serially).
+    bit-identical to the serial loop at any worker count.
     """
     workloads = workloads or PARSEC
     names = list(tables)
@@ -196,7 +188,7 @@ def parsec_sweep(
         jobs = [
             ClosedLoopJob(
                 table=tab, workload=w, warmup=warmup, measure=measure,
-                seed=seed, engine=engine,
+                seed=seed,
             )
             for w in workloads
             for tab in [mesh_table] + [tables[n] for n in names]
@@ -214,18 +206,15 @@ def parsec_sweep(
                 Figure8Row(workload=w.name, speedups=speed, latency_reductions=red)
             )
         return rows
-    engine = engine or DEFAULT_ENGINE
     for w in workloads:
         base = run_workload(
             mesh_table, w, seed=seed, warmup=warmup, measure=measure,
-            engine=engine,
         )
         speed: Dict[str, float] = {}
         red: Dict[str, float] = {}
         for name, tab in tables.items():
             r = run_workload(
                 tab, w, seed=seed, warmup=warmup, measure=measure,
-                engine=engine,
             )
             speed[name] = r.speedup_over(base)
             red[name] = r.latency_reduction_over(base)

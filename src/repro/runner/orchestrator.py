@@ -118,8 +118,6 @@ class ClosedLoopJob:
     warmup: int = 600
     measure: int = 2500
     seed: int = 0
-    #: Closed-loop engine ("fast"/"reference"); None = the runner's default.
-    engine: Optional[str] = None
     #: Optional fault schedule (requires ``retry``) and retry policy.
     faults: Any = None
     retry: Any = None
@@ -142,7 +140,6 @@ class RecoveryJob:
     total: int = 1400
     window: int = 50
     seed: int = 0
-    engine: Optional[str] = None
 
 
 class Runner:
@@ -183,7 +180,8 @@ class Runner:
             self.cache: Optional[ResultCache] = cache
         else:
             self.cache = None if no_cache else ResultCache(cache_dir)
-        #: Default simulation engine for jobs that don't pin one.
+        #: Default open-loop engine for jobs that don't pin one
+        #: (closed-loop and recovery jobs have a single engine).
         self.engine = engine
         #: Every TaskFailure quarantined through this runner (for reporting).
         self.failures: List[TaskFailure] = []
@@ -560,7 +558,6 @@ class Runner:
             tasks.closed_loop_payload(
                 j.table, j.workload, j.link_class,
                 j.warmup, j.measure, j.seed,
-                engine=j.engine or self.engine,
                 faults=j.faults,
                 retry=j.retry,
             )
@@ -576,7 +573,6 @@ class Runner:
             tasks.recovery_payload(
                 j.table, j.workload, j.link_class, j.faults, j.retry,
                 j.total, j.window, j.seed,
-                engine=j.engine or self.engine,
             )
             for j in jobs
         ]

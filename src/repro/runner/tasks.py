@@ -535,7 +535,6 @@ def closed_loop_payload(
     warmup: int,
     measure: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     faults=None,
     retry=None,
 ) -> Dict[str, Any]:
@@ -543,7 +542,9 @@ def closed_loop_payload(
 
     A fault schedule requires a retry policy (the combination is
     validated here, client-side, so a bad pairing fails at submission
-    instead of deep inside a worker process).
+    instead of deep inside a worker process).  Closed-loop runs have
+    one engine; the payload keeps its ``"engine": "fast"`` entry so
+    every existing cache key stays valid.
     """
     from ..fullsys.closedloop import validate_closed_loop_faults
 
@@ -557,7 +558,7 @@ def closed_loop_payload(
         "warmup": int(warmup),
         "measure": int(measure),
         "seed": int(seed),
-        "engine": str(engine),
+        "engine": "fast",
         "faults": None if faults is None else faults.as_dict(),
         "retry": None if retry is None else retry.as_dict(),
     }
@@ -581,7 +582,6 @@ def closed_loop_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         warmup=payload["warmup"],
         measure=payload["measure"],
         seed=payload["seed"],
-        engine=payload.get("engine", DEFAULT_ENGINE),
         faults=_decode_faults(payload),
         retry=_decode_retry(payload),
     )
@@ -613,13 +613,13 @@ def recovery_payload(
     total: int,
     window: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, Any]:
     """One windowed closed-loop recovery run (transient measurement).
 
     The payload carries only what determines the window counters —
     recovery *metrics* (time-to-drain, settling) are derived caller-side
     from the windows, so tolerance knobs never invalidate the cache.
+    Like :func:`closed_loop_payload`, it keeps ``"engine": "fast"``.
     """
     from ..fullsys.closedloop import validate_closed_loop_faults
 
@@ -635,7 +635,7 @@ def recovery_payload(
         "total": int(total),
         "window": int(window),
         "seed": int(seed),
-        "engine": str(engine),
+        "engine": "fast",
     }
 
 
@@ -652,7 +652,6 @@ def recovery_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         total=payload["total"],
         window=payload["window"],
         seed=payload["seed"],
-        engine=payload.get("engine", DEFAULT_ENGINE),
         faults=_decode_faults(payload),
         retry=_decode_retry(payload),
     )

@@ -14,14 +14,14 @@ compiled down to integer-indexed flat structures:
   simulator instance — all rate points of a sweep and all bisection
   probes of a saturation search reuse one compile, leaving only O(#VC
   slots) per-run state to allocate per measurement;
-* **pre-generated traffic traces** — injection events for every built-in
-  traffic pattern are pre-computed in large numpy chunks by
-  :class:`~repro.sim.trace.TraceStream`, which replicates the reference
+* **pre-generated traffic traces** — injection events for every traffic
+  pattern are pre-computed in large numpy chunks by
+  :class:`~repro.sim.trace.TraceStream` from the pattern's
+  :class:`~repro.sim.traffic.DestSpec`, replicating the reference
   engine's exact RNG draw order from raw PCG64 words.  The generation
   block of the cycle loop is then just "drain this cycle's precomputed
-  arrivals": zero per-packet Python RNG or closure calls.  (Custom
-  patterns without a :class:`~repro.sim.traffic.DestSpec` fall back to
-  the inline scalar path.);
+  arrivals": zero per-packet Python RNG or closure calls, and no second,
+  scalar generation path;
 * **integer channel ids** — directed link ``k`` of the topology is
   channel ``k``; the injection pseudo-channel of router ``r`` is channel
   ``L + r``.  Per-(channel, VC) state lives in flat lists indexed by
@@ -82,7 +82,6 @@ from .network import (
     NetworkSimulator,
     SimStats,
 )
-from .packet import CONTROL_FLITS, DATA_FLITS
 from .trace import TraceStream
 from .traffic import TrafficPattern
 
@@ -203,8 +202,9 @@ class CompiledNetwork:
 
         # Injection-time request key per flow: the output channel a
         # source-queued packet will request at its own router (-1 =
-        # immediate ejection, src == dst).  Shared by the inline path
-        # and, as a numpy table, by vectorized trace-event compilation.
+        # immediate ejection, src == dst).  Shared by the closed-loop
+        # hooks and epoch re-keying and, as a numpy table, by vectorized
+        # trace-event compilation.
         if self.fwd_dst is not None:
             # Destination-keyed: the at-source request key *is* the
             # (node, dst) forward key, diagonal already -1.
@@ -392,17 +392,10 @@ class FastNetworkSimulator:
         self.lat_count = 0
         self.in_flight = 0
         self.lost = 0
-        # Burst gates come from the pattern's dedicated chain, never the
-        # packet-draw stream (same contract as the reference engine).
-        self._burst_state = (
-            traffic.burst.state(n) if traffic.burst is not None else None
-        )
 
     # -- trace plumbing --------------------------------------------------------
-    def _trace_for(self, lam: float) -> Optional[TraceStream]:
-        """The event trace for rate ``lam`` (None => inline generation)."""
-        if self.traffic.dest_spec is None:
-            return None
+    def _trace_for(self, lam: float) -> TraceStream:
+        """The event trace for rate ``lam`` (rebuilt if the rate changed)."""
         trace = self._trace
         if trace is None or trace.rate != lam:
             chunk = self.trace_chunk_cycles
@@ -453,10 +446,10 @@ class FastNetworkSimulator:
 
         One loop frame owns generation, injection, and arbitration so
         every hot container is a local.  Each cycle performs, in order:
-        per-node generation (draining the pre-generated trace, or the
-        inline scalar draws for spec-less patterns), source-queue
-        injection, and per-router arbitration in ascending router index —
-        exactly the reference's :meth:`~NetworkSimulator.step` sequence.
+        per-node generation (draining the pre-generated trace), source-
+        queue injection, and per-router arbitration in ascending router
+        index — exactly the reference's :meth:`~NetworkSimulator.step`
+        sequence.
         """
         if ncycles <= 0:
             return
@@ -465,17 +458,10 @@ class FastNetworkSimulator:
         n = self.n
         V = self.num_vcs
 
-        # generation / injection state.  With a trace, this cycle's
-        # arrivals are precomputed tuples; the inline fallback performs
-        # exactly the calls the reference's ``TrafficPattern`` wrappers
-        # make, in the same order — the differential suite pins both.
+        # generation / injection state: this cycle's arrivals are
+        # precomputed trace tuples (the differential suite pins them to
+        # the reference's draws).
         lam = self.rate
-        whole = int(lam)
-        frac = lam - whole
-        rng = self.rng
-        rng_random = rng.random
-        dest = self.traffic.dest_fn
-        dfrac = self.traffic.data_fraction
         gen_fn = self._closed_gen
         eject_fn = self._closed_eject
         trace = self._trace_for(lam) if lam > 0 and gen_fn is None else None
@@ -492,8 +478,6 @@ class FastNetworkSimulator:
         iwheel_get = iwheel.get
         inj_base = self.inj_base
         inj_busy = self.inj_busy
-        vc_of = self.vc_of
-        inj_key = self.inj_key
         num_links = self.num_links
         link_slots = num_links * V
 
@@ -528,10 +512,6 @@ class FastNetworkSimulator:
         one = [0]  # reusable single-requester list (fast path)
 
         # measurement accumulators (flushed back on exit)
-        faulty = self._faulty
-        flow_ok = self.flow_ok
-        burst = self._burst_state
-
         measuring = self.measuring
         measure_start = self.measure_start
         pid = self._pid
@@ -545,8 +525,7 @@ class FastNetworkSimulator:
 
         while cycle < end:
             # -- generation: drain this cycle's precomputed arrivals (the
-            # trace replicates the reference's draw stream bit-exactly),
-            # or fall back to inline scalar draws for custom patterns.
+            # trace replicates the reference's draw stream bit-exactly).
             # Closed-loop mode replaces the block outright: injection is
             # demand-driven (per-node outstanding budgets) so each
             # cycle's draws depend on simulation state.
@@ -575,77 +554,6 @@ class FastNetworkSimulator:
                     in_flight += 1
                     if measuring:
                         offered += 1
-            elif lam > 0:
-                draws = rng_random(n).tolist()
-                if whole == 0 and burst is None:
-                    # Sub-unit rates: visit only the Bernoulli winners,
-                    # in ascending node order — the same nodes, in the
-                    # same order, that the reference loop injects for.
-                    node = -1
-                    for d in draws:
-                        node += 1
-                        if d >= frac:
-                            continue
-                        dst = dest(node, rng)
-                        size = DATA_FLITS if rng_random() < dfrac else CONTROL_FLITS
-                        if faulty and not flow_ok[node * n + dst]:
-                            # Draws happen regardless (the stream matches
-                            # a pristine run); the packet never exists.
-                            if measuring:
-                                offered += 1
-                                lost += 1
-                            continue
-                        pid += 1
-                        source_q[node].append(
-                            (
-                                vc_of[node * n + dst],
-                                inj_key[node * n + dst],
-                                size,
-                                dst,
-                                cycle,
-                            )
-                        )
-                        pending |= 1 << node
-                        in_flight += 1
-                        if measuring:
-                            offered += 1
-                else:
-                    g = burst.row(cycle) if burst is not None else None
-                    for node in range(n):
-                        if g is None:
-                            w = whole
-                            f = frac
-                        else:
-                            eff = lam * g[node]
-                            w = int(eff)
-                            f = eff - w
-                        count = w + (1 if draws[node] < f else 0)
-                        for _ in range(count):
-                            dst = dest(node, rng)
-                            size = (
-                                DATA_FLITS
-                                if rng_random() < dfrac
-                                else CONTROL_FLITS
-                            )
-                            if faulty and not flow_ok[node * n + dst]:
-                                if measuring:
-                                    offered += 1
-                                    lost += 1
-                                continue
-                            pid += 1
-                            source_q[node].append(
-                                (
-                                    vc_of[node * n + dst],
-                                    inj_key[node * n + dst],
-                                    size,
-                                    dst,
-                                    cycle,
-                                )
-                            )
-                            pending |= 1 << node
-                            in_flight += 1
-                            if measuring:
-                                offered += 1
 
             # -- injection: serialized source ports, ascending node order.
             # Only nodes with a backlog that are not provably blocked are

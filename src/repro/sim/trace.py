@@ -26,6 +26,10 @@ Two generation paths share one buffered raw-word stream:
   defers to) walks the same buffer with plain Python integer arithmetic
   — still far cheaper than per-packet Generator calls.
 
+Both read the pattern's :class:`~repro.sim.traffic.DestSpec`, which
+every :class:`~repro.sim.traffic.TrafficPattern` carries, so a trace is
+the fast open-loop engine's only generation path.
+
 A trace owns its Generator outright: it may pre-draw past the cycles
 consumed so far, which is invisible to the simulation (generation is the
 only RNG consumer in both engines).
@@ -64,9 +68,8 @@ TraceChunk = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class TraceStream:
     """Pre-generated injection events for one (pattern, rate, seed) run.
 
-    Requires ``traffic.dest_spec`` (every built-in pattern has one);
-    callers with a spec-less custom pattern should fall back to scalar
-    generation against the Generator directly.
+    Destinations follow the pattern's :class:`~repro.sim.traffic.
+    DestSpec`, which every :class:`TrafficPattern` carries.
     """
 
     def __init__(
@@ -78,11 +81,6 @@ class TraceStream:
         chunk_cycles: int = TRACE_CHUNK_CYCLES,
     ):
         spec = traffic.dest_spec
-        if spec is None:
-            raise ValueError(
-                f"pattern {traffic.name!r} has no dest_spec; use scalar "
-                f"generation instead"
-            )
         if rate <= 0:
             raise ValueError("TraceStream requires a positive injection rate")
         self.spec = spec
@@ -486,11 +484,6 @@ def pregenerate_batch(
     engines' count law with a relaxed draw order.
     """
     spec = traffic.dest_spec
-    if spec is None:
-        raise ValueError(
-            f"pattern {traffic.name!r} has no dest_spec; batched "
-            f"pregeneration needs a vectorizable destination law"
-        )
     n = int(n_nodes)
     C = int(cycles)
     B = len(lanes)

@@ -15,14 +15,17 @@ Control (1 flit) and data (9 flit) packets are injected with equal
 likelihood.  Generators draw from an explicit ``numpy`` RNG for
 reproducibility.
 
-Every built-in pattern carries a :class:`DestSpec` — a pure-data
-description of its destination distribution that the vectorized paths
-consume: :meth:`TrafficPattern.destinations` draws many destinations in
-one batch (bit-identical values *and* stream consumption to the scalar
-:meth:`TrafficPattern.destination` loop), and :mod:`repro.sim.trace`
+Every pattern carries a :class:`DestSpec` — a pure-data description of
+its destination distribution that the vectorized paths consume:
+:meth:`TrafficPattern.destinations` draws many destinations in one batch
+(bit-identical values *and* stream consumption to the scalar
+:meth:`TrafficPattern.destination` loop), :mod:`repro.sim.trace`
 pre-generates whole injection traces from it without any per-packet
-Python calls.  Custom patterns without a spec still work everywhere —
-the vectorized consumers fall back to the scalar closure.
+Python calls, and the fast closed-loop engine replays its draws from raw
+words.  The spec is required: a pattern without one is rejected at
+construction, so no consumer keeps a second, scalar generation path.
+The scalar ``dest_fn`` closure stays the definition the reference
+engine calls and the spec must match.
 """
 
 from __future__ import annotations
@@ -99,6 +102,9 @@ class TrafficPattern:
     n_nodes: int
     dest_fn: Callable[[int, np.random.Generator], int]
     data_fraction: float = 0.5
+    #: Required: ``dest_fn``'s law in vectorizable form (checked in
+    #: ``__post_init__``; the ``None`` default only lets the field keep
+    #: its keyword position after the defaulted ones).
     dest_spec: Optional[DestSpec] = None
     #: Optional on/off modulation (:mod:`repro.sim.burst`).  Gates scale
     #: the per-cycle injection threshold from a dedicated RNG chain; the
@@ -106,6 +112,14 @@ class TrafficPattern:
     #: bit-identical across engines and through :class:`~repro.sim.trace.
     #: TraceStream`.
     burst: Optional[BurstSpec] = None
+
+    def __post_init__(self):
+        if not isinstance(self.dest_spec, DestSpec):
+            raise ValueError(
+                f"traffic pattern {self.name!r} has no DestSpec: the fast "
+                f"engines and trace generation draw destinations from it, "
+                f"so pass dest_spec=DestSpec(...) describing dest_fn's law"
+            )
 
     def with_burst(self, spec: Optional[BurstSpec]) -> "TrafficPattern":
         """A copy of this pattern modulated by ``spec``."""
@@ -123,16 +137,14 @@ class TrafficPattern:
 
         Bit-identical to ``[destination(s, rng) for s in srcs]`` — same
         values *and* the same final RNG stream position — so scalar and
-        batched consumers can interleave freely.  Patterns without a
-        :class:`DestSpec` (or with degenerate bounds numpy special-cases)
-        fall back to the scalar loop.
+        batched consumers can interleave freely.  Degenerate bounds that
+        numpy special-cases (and the rare Lemire rejection) take the
+        scalar loop.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         spec = self.dest_spec
         if srcs.size == 0:
             return np.empty(0, dtype=np.int64)
-        if spec is None:
-            return self._scalar_destinations(srcs, rng)
         if spec.kind == "table":
             return spec.table[srcs]
         if spec.kind == "uniform":

@@ -40,50 +40,29 @@ _KL_LIMIT = 128
 # Hop statistics
 # ---------------------------------------------------------------------------
 #
-# ``method="sparse"`` (the default) streams CSR multi-source BFS blocks
-# (:mod:`repro.topology.csr`) in O(n·E) time and O(n) memory per block;
-# ``method="dense"`` is the historical all-pairs hop-matrix path, kept
-# as the equivalence oracle.  Hop counts are small exact integers, so
-# the two paths return bit-identical floats (the property suite asserts
-# it over random connected topologies).
+# Streamed CSR multi-source BFS blocks (:mod:`repro.topology.csr`): O(n·E)
+# time and O(n) memory per block.  ``tests/metrics_oracle.py`` keeps the
+# historical all-pairs hop-matrix versions; hop counts are small exact
+# integers, so the property suite asserts bit-identical floats over
+# random connected topologies.
 
-def average_hops(topo: Topology, method: str = "sparse") -> float:
+def average_hops(topo: Topology) -> float:
     """Mean shortest-path hops over all ordered pairs, excluding self-pairs."""
-    if method == "dense":
-        d = topo.hop_matrix()
-        n = topo.n
-        off = d[~np.eye(n, dtype=bool)]
-        if not np.isfinite(off).all():
-            return float("inf")
-        return float(off.mean())
     s = topo.hop_stats()
     if not s.connected:
         return float("inf")
     return float(s.total / s.pairs)
 
 
-def diameter(topo: Topology, method: str = "sparse") -> int:
-    if method == "dense":
-        d = topo.hop_matrix()
-        n = topo.n
-        off = d[~np.eye(n, dtype=bool)]
-        if not np.isfinite(off).all():
-            raise ValueError(f"{topo.name}: disconnected; diameter undefined")
-        return int(off.max())
+def diameter(topo: Topology) -> int:
     s = topo.hop_stats()
     if not s.connected:
         raise ValueError(f"{topo.name}: disconnected; diameter undefined")
     return int(s.max_hop)
 
 
-def hop_histogram(topo: Topology, method: str = "sparse") -> Dict[int, int]:
+def hop_histogram(topo: Topology) -> Dict[int, int]:
     """Count of ordered pairs at each hop distance (the latency distribution)."""
-    if method == "dense":
-        d = topo.hop_matrix()
-        n = topo.n
-        off = d[~np.eye(n, dtype=bool)].astype(int)
-        vals, counts = np.unique(off, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
     return topo.hop_stats().histogram()
 
 

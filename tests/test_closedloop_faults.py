@@ -5,7 +5,8 @@ The contract under test, for BOTH closed-loop engines:
 * **bit-identical behaviour** — the differential matrix (topologies x
   fault schedules x workload points x seeds) pins stats, per-node
   outstanding counts, and pending-reply heaps equal between the
-  reference and fast engines, faults and retries active;
+  reference oracle (``tests/closedloop_oracle.py``) and the fast
+  engine, faults and retries active;
 * **request conservation** — every issued request is completed, failed,
   or live (`issued == completed + failed + in_flight`), asserted by the
   engines themselves after every run and re-checked here;
@@ -22,13 +23,10 @@ The contract under test, for BOTH closed-loop engines:
 import numpy as np
 import pytest
 
+from closedloop_oracle import ClosedLoopSimulator
 from repro.experiments.registry import NDBT, routed_table
 from repro.faults import FaultSchedule, central_link_faults, central_router_fault
-from repro.fullsys.closedloop import (
-    ClosedLoopSimulator,
-    RetryPolicy,
-    validate_closed_loop_faults,
-)
+from repro.fullsys.closedloop import RetryPolicy, validate_closed_loop_faults
 from repro.fullsys.fastloop import FastClosedLoopSimulator
 from repro.sim import uniform_random
 from repro.sim.stats import WindowSample, recovery_metrics
@@ -77,6 +75,7 @@ def _pair(table, seed, faults, retry=RETRY, **kw):
     )
     ref = ClosedLoopSimulator(table, uniform_random(n), **params)
     fast = FastClosedLoopSimulator(table, uniform_random(n), **params)
+    assert not isinstance(ref, FastClosedLoopSimulator)  # a real oracle
     return ref, fast
 
 

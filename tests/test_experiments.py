@@ -20,7 +20,13 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.fig1 import Fig1Point
-from repro.topology import LAYOUT_4X5, expert_topology, folded_torus
+from repro.topology import (
+    LAYOUT_4X5,
+    Topology,
+    expert_topology,
+    folded_torus,
+    mesh,
+)
 
 
 class TestRegistry:
@@ -42,6 +48,24 @@ class TestRegistry:
         a = routed_table(ft, NDBT, seed=0)
         b = routed_table(ft, NDBT, seed=0)
         assert a is b
+
+    def test_routed_table_memo_keys_on_links(self):
+        """Same name and link count, different links: the memo must not
+        serve the first topology's table for the second."""
+        grid = mesh(LAYOUT_4X5)
+        swapped = [
+            link for link in grid.directed_links
+            if link not in ((0, 1), (1, 0))
+        ] + [(0, 6), (6, 0)]
+        a = Topology(LAYOUT_4X5, grid.directed_links, name="X")
+        b = Topology(LAYOUT_4X5, swapped, name="X")
+        assert a.num_directed_links == b.num_directed_links == 62
+        ta = routed_table(a, NDBT, seed=0)
+        tb = routed_table(b, NDBT, seed=0)
+        assert ta is not tb
+        assert sorted(ta.topology.directed_links) == sorted(a.directed_links)
+        assert sorted(tb.topology.directed_links) == sorted(b.directed_links)
+        assert routed_table(b, NDBT, seed=0) is tb
 
     def test_routed_table_mclb(self):
         ft = folded_torus(LAYOUT_4X5)

@@ -1,12 +1,13 @@
-"""Differential suite: fast closed-loop engine vs the reference.
+"""Differential suite: fast closed-loop engine vs the reference oracle.
 
-The fast engine's contract is *bit-identical* closed-loop behaviour:
-same RNG draw order (demand/memory-fraction/destination draws replayed
-from raw PCG64 words), same reply scheduling, same
+The fast engine's contract is *bit-identical* closed-loop behaviour
+with ``tests/closedloop_oracle.py``: same RNG draw order
+(demand/memory-fraction/destination draws replayed from raw PCG64
+words), same reply scheduling, same
 :class:`~repro.fullsys.closedloop.ClosedLoopStats` — across topologies,
-PARSEC workloads, seeds, traffic patterns (including the spec-less
-custom-pattern fallback), and the engine-selection plumbing of
-:func:`~repro.fullsys.speedup.run_workload`.
+PARSEC workloads, seeds, every :class:`~repro.sim.traffic.DestSpec`
+kind, and through :func:`~repro.fullsys.speedup.run_workload` with the
+oracle substituted for the production engine.
 """
 
 import gc
@@ -15,18 +16,12 @@ import weakref
 
 import pytest
 
-from repro.fullsys import (
-    PARSEC,
-    ClosedLoopSimulator,
-    FastClosedLoopSimulator,
-    resolve_closed_loop_engine,
-    validate_closed_loop,
-    workload,
-)
+from closedloop_oracle import ClosedLoopSimulator, run_on_oracle
+from repro.fullsys import FastClosedLoopSimulator, validate_closed_loop, workload
 from repro.fullsys.speedup import demand_rate_for, run_workload
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import uniform_random
-from repro.sim.traffic import TrafficPattern, hotspot, memory_traffic, shuffle_pattern
+from repro.sim.traffic import hotspot, memory_traffic, shuffle_pattern
 from repro.topology import LAYOUT_4X5, Layout, Topology, folded_torus, mesh
 
 #: Workloads spanning the MPKI (demand-rate / MLP) range.
@@ -55,20 +50,11 @@ def tables():
     }
 
 
-def _custom_pattern():
-    """A spec-less pattern: the fast engine's real-Generator fallback."""
-
-    def dest(src, rng):
-        d = int(rng.integers(19))
-        return d if d < src else d + 1
-
-    return TrafficPattern("custom", 20, dest, dest_spec=None)
-
-
 def _pair(table, traffic_fn, seed, **kw):
     """Run both engines on identical inputs; return (ref, fast)."""
     ref = ClosedLoopSimulator(table, traffic_fn(), seed=seed, **kw)
     fast = FastClosedLoopSimulator(table, traffic_fn(), seed=seed, **kw)
+    assert not isinstance(ref, FastClosedLoopSimulator)  # a real oracle
     sref = ref.run_closed_loop(**BUDGET)
     sfast = fast.run_closed_loop(**BUDGET)
     return (ref, sref), (fast, sfast)
@@ -131,18 +117,6 @@ class TestDifferential:
         assert sref == sfast
         assert ref.outstanding == fast.outstanding
 
-    def test_custom_pattern_fallback(self, tables):
-        """Spec-less patterns take the real-Generator fallback path and
-        stay bit-identical."""
-        table = tables["Mesh"]
-        (ref, sref), (fast, sfast) = _pair(
-            table, _custom_pattern, 2,
-            demand_rate=0.2, memory_fraction=0.5, mlp_per_node=8,
-        )
-        assert fast._closed_gen.__func__ is FastClosedLoopSimulator._generate_fallback
-        assert sref == sfast
-        assert ref.outstanding == fast.outstanding
-
     def test_explicit_mc_routers(self, tables):
         table = tables["Mesh"]
         mcs = [2, 9, 17]
@@ -167,8 +141,8 @@ class TestDifferential:
 
 
 @pytest.mark.parametrize("traffic_fn", [
-    lambda: uniform_random(20), _custom_pattern,
-], ids=["dest_spec", "spec_less"])
+    lambda: uniform_random(20),
+], ids=["dest_spec"])
 def test_finished_simulator_freed_without_cyclic_gc(tables, traffic_fn):
     """The engine hooks are bound on access, not stored on the instance,
     so reference counting alone frees a finished simulator."""
@@ -187,19 +161,14 @@ def test_finished_simulator_freed_without_cyclic_gc(tables, traffic_fn):
 
 
 class TestRunWorkloadEngine:
-    def test_engine_parity_and_default(self, tables):
+    def test_engine_parity_and_default(self, tables, monkeypatch):
+        """``run_workload`` on the substituted oracle equals the
+        production run (``run_on_oracle`` asserts the oracle ran)."""
         table = tables["FoldedTorus"]
         w = workload("streamcluster")
-        ref = run_workload(table, w, warmup=150, measure=400, engine="reference")
-        fast = run_workload(table, w, warmup=150, measure=400, engine="fast")
-        default = run_workload(table, w, warmup=150, measure=400)
-        assert ref == fast == default  # fast is the default engine
-
-    def test_resolve(self):
-        assert resolve_closed_loop_engine("fast") is FastClosedLoopSimulator
-        assert resolve_closed_loop_engine("reference") is ClosedLoopSimulator
-        with pytest.raises(ValueError, match="unknown closed-loop engine"):
-            resolve_closed_loop_engine("warp")
+        kw = dict(warmup=150, measure=400)
+        ref = run_on_oracle(monkeypatch, run_workload, table, w, **kw)
+        assert ref == run_workload(table, w, **kw)
 
 
 class TestValidation:

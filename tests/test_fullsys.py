@@ -6,7 +6,7 @@ import pytest
 
 from repro.fullsys import (
     PARSEC,
-    ClosedLoopSimulator,
+    FastClosedLoopSimulator,
     WorkloadProfile,
     demand_rate_for,
     geomean_speedups,
@@ -59,8 +59,10 @@ class TestWorkloads:
 
 
 class TestClosedLoop:
+    """Behaviour of the engine :func:`run_workload` runs."""
+
     def test_requests_complete(self, ft_table):
-        sim = ClosedLoopSimulator(
+        sim = FastClosedLoopSimulator(
             ft_table, uniform_random(20), demand_rate=0.05, mlp_per_node=8, seed=0
         )
         stats = sim.run_closed_loop(warmup=400, measure=1200)
@@ -69,14 +71,14 @@ class TestClosedLoop:
 
     def test_rtt_exceeds_one_way(self, ft_table):
         """Round trip includes request + service + data response."""
-        sim = ClosedLoopSimulator(
+        sim = FastClosedLoopSimulator(
             ft_table, uniform_random(20), demand_rate=0.03, mlp_per_node=4, seed=0
         )
         stats = sim.run_closed_loop(warmup=400, measure=1200)
         assert stats.avg_round_trip_cycles > 30
 
     def test_outstanding_bounded(self, ft_table):
-        sim = ClosedLoopSimulator(
+        sim = FastClosedLoopSimulator(
             ft_table, uniform_random(20), demand_rate=0.5, mlp_per_node=3, seed=0
         )
         for _ in range(600):
@@ -84,7 +86,7 @@ class TestClosedLoop:
             assert all(o <= 3 for o in sim.outstanding)
 
     def test_memory_fraction_routes_to_mcs(self, ft_table):
-        sim = ClosedLoopSimulator(
+        sim = FastClosedLoopSimulator(
             ft_table, uniform_random(20), demand_rate=0.1,
             memory_fraction=1.0, seed=0,
         )

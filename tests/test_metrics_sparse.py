@@ -1,15 +1,16 @@
 """Property test: sparse (CSR BFS) metrics == dense hop-matrix metrics.
 
-The sparse paths are the scale-enabling default; the dense paths are the
-historical oracle.  For random strongly-connected topologies at n in
-{16, 64, 256} the two must agree exactly — average hops, diameter, and
-the full hop histogram (distances are small exact integers, so there is
-no tolerance to hide behind).
+The sparse paths are production; the dense paths are the historical
+oracle (``tests/metrics_oracle.py``).  For random strongly-connected
+topologies at n in {16, 64, 256} the two must agree exactly — average
+hops, diameter, and the full hop histogram (distances are small exact
+integers, so there is no tolerance to hide behind).
 """
 
 import numpy as np
 import pytest
 
+import metrics_oracle as dense
 from repro.topology import Layout, Topology, average_hops, diameter
 from repro.topology.metrics import hop_histogram
 
@@ -43,15 +44,9 @@ def test_sparse_metrics_match_dense(rows, cols):
     for trial in range(8 if rows * cols <= 64 else 3):
         topo = _random_connected(lay, rng)
         ctx = f"{rows}x{cols} trial {trial}"
-        assert average_hops(topo, method="sparse") == average_hops(
-            topo, method="dense"
-        ), ctx
-        assert diameter(topo, method="sparse") == diameter(
-            topo, method="dense"
-        ), ctx
-        assert hop_histogram(topo, method="sparse") == hop_histogram(
-            topo, method="dense"
-        ), ctx
+        assert average_hops(topo) == dense.average_hops(topo), ctx
+        assert diameter(topo) == dense.diameter(topo), ctx
+        assert hop_histogram(topo) == dense.hop_histogram(topo), ctx
 
 
 def test_sparse_metrics_match_dense_sparse_ring():
@@ -61,6 +56,6 @@ def test_sparse_metrics_match_dense_sparse_ring():
     links = [(k, (k + 1) % n) for k in range(n)]
     links += [((k + 1) % n, k) for k in range(n)]
     topo = Topology(lay, sorted(set(links)), name="ring")
-    assert average_hops(topo, "sparse") == average_hops(topo, "dense")
-    assert diameter(topo, "sparse") == diameter(topo, "dense")
-    assert hop_histogram(topo, "sparse") == hop_histogram(topo, "dense")
+    assert average_hops(topo) == dense.average_hops(topo)
+    assert diameter(topo) == dense.diameter(topo)
+    assert hop_histogram(topo) == dense.hop_histogram(topo)

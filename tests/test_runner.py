@@ -512,30 +512,11 @@ def test_closed_loop_cache_distinguishes_configs(table, tmp_path):
     runner = Runner(parallel=1, cache_dir=str(tmp_path))
     runner.closed_loops([ClosedLoopJob(table=table, workload=wa, **CL_BUDGET)])
     assert runner.stats.misses == 1
-    # different workload profile, seed, engine, or budget => new entries
+    # different workload profile, seed, or budget => new entries
     runner.closed_loops([ClosedLoopJob(table=table, workload=wb, **CL_BUDGET)])
     runner.closed_loops([ClosedLoopJob(table=table, workload=wa, warmup=100,
                                        measure=300, seed=7)])
-    runner.closed_loops([ClosedLoopJob(table=table, workload=wa,
-                                       engine="reference", **CL_BUDGET)])
-    assert runner.stats.misses == 4
+    assert runner.stats.misses == 3
     # exact repeat => pure hit
     runner.closed_loops([ClosedLoopJob(table=table, workload=wa, **CL_BUDGET)])
-    assert runner.stats.misses == 4 and runner.stats.hits == 1
-
-
-def test_closed_loop_engines_share_results_not_cache_keys(table, tmp_path):
-    """Both engines produce identical WorkloadResults but cache under
-    distinct keys (engine is part of the payload identity)."""
-    from repro.runner import ClosedLoopJob
-
-    w = _cl_workloads()[0]
-    runner = Runner(parallel=1, cache_dir=str(tmp_path))
-    [fast] = runner.closed_loops(
-        [ClosedLoopJob(table=table, workload=w, engine="fast", **CL_BUDGET)]
-    )
-    [ref] = runner.closed_loops(
-        [ClosedLoopJob(table=table, workload=w, engine="reference", **CL_BUDGET)]
-    )
-    assert fast == ref
-    assert runner.stats.misses == 2 and runner.stats.hits == 0
+    assert runner.stats.misses == 3 and runner.stats.hits == 1

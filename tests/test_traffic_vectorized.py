@@ -13,6 +13,7 @@ import pytest
 
 from repro.sim import TraceStream
 from repro.sim.traffic import (
+    TrafficPattern,
     bit_complement,
     hotspot,
     memory_traffic,
@@ -285,3 +286,17 @@ class TestHotspotValidation:
 
         with pytest.raises(ValueError):
             TrafficSpec.hotspot(20, ()).build()
+
+
+def test_pattern_without_dest_spec_rejected():
+    """A DestSpec is required: without one every vectorized consumer
+    would need a scalar generation path, so construction refuses."""
+
+    def dest(src, rng):
+        d = int(rng.integers(19))
+        return d if d < src else d + 1
+
+    with pytest.raises(ValueError, match="'custom' has no DestSpec"):
+        TrafficPattern("custom", 20, dest)
+    with pytest.raises(ValueError, match="'custom' has no DestSpec"):
+        TrafficPattern("custom", 20, dest, dest_spec=None)
