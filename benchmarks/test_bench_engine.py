@@ -1,5 +1,8 @@
 """Engine benchmark: flat-array fast engine vs the reference simulator.
 
+The reference is the test-only oracle ``tests/network_oracle.py``,
+registered as ``engine="reference"`` for every benchmark here.
+
 Runs the fig6-style uniform-traffic sweep (4x5 grid, medium link class,
 fig6 budgets and rates, stop-after-saturation) with both engines,
 verifies the curves are bit-identical, and reports the wall-clock
@@ -12,16 +15,23 @@ floor is 3x (low-load points, where the worklist/sleep machinery
 additionally skips idle cycles outright, must clear 4x); the measured
 ratios are printed and persisted to ``BENCH_engine.json`` either way.
 
-The batched multi-replica benchmark adds the third engine: all
+The batched multi-replica benchmark adds the batched engine: all
 ``BATCH_SEEDS x len(DEFAULT_RATES)`` lanes of one topology advanced as
 a single SoA turbo batch (relaxed cross-replica draw order,
 KS-validated by ``tests/test_batch.py``), which must clear a 10x
-aggregate floor over the reference.  Every record carries ``mode`` (the
-engine: ``fast`` or ``turbo``) and ``batch_shape`` fields so
-BENCH_engine.json distinguishes the per-point and batched rows.
+aggregate floor over the reference and a 2x floor over the fast engine
+running the same lanes point by point (``turbo_vs_fast``: the bar turbo
+must clear to keep its place beside the bit-exact engine).  Every
+record carries ``mode`` (the engine: ``fast`` or ``turbo``) and
+``batch_shape`` fields so BENCH_engine.json distinguishes the per-point
+and batched rows.
 """
 
+import os
+import sys
 import time
+
+import pytest
 
 from repro.experiments.fig6 import DEFAULT_RATES
 from repro.experiments.registry import roster, routed_entry
@@ -31,6 +41,9 @@ from repro.sim import (
     run_point,
     uniform_random,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
+import network_oracle  # noqa: E402  (test-only reference engine)
 
 REPS = 3  # interleaved repetitions; min cancels scheduler noise
 
@@ -44,7 +57,13 @@ LOW_LOAD_FLOOR = 4.0
 #: per-replica reference cost.
 BATCH_SEEDS = 16
 TURBO_FLOOR = 10.0
+TURBO_VS_FAST_FLOOR = 2.0
 BATCH_REPS = 2  # min of 2 bounds the wall clock of the reference leg
+
+
+@pytest.fixture(autouse=True)
+def reference_engine(monkeypatch):
+    network_oracle.register_reference(monkeypatch)
 
 
 def _sweep(table, engine):
@@ -156,7 +175,9 @@ def test_engine_speedup_batched_multi_replica(once, bench_record):
     full-grid reference sweep scaled by S (the reference engine shares
     nothing across seeds, so its cost is linear in replicas); the batch
     runs all S x R lanes with no early stop, so the comparison is
-    grid-for-grid.  Turbo must clear ``TURBO_FLOOR``."""
+    grid-for-grid.  Turbo must clear ``TURBO_FLOOR``.  The fast engine
+    runs the same S x R lanes point by point, also with no early stop;
+    turbo must clear ``TURBO_VS_FAST_FLOOR`` over it."""
     entry = roster("medium", 20, allow_generate=False)[0]
     table = routed_entry(entry, seed=0)
     traffic = uniform_random(20)
@@ -165,7 +186,10 @@ def test_engine_speedup_batched_multi_replica(once, bench_record):
     budget = dict(warmup=400, measure=1500)
 
     def harness():
-        best = {"reference": float("inf"), "turbo": float("inf")}
+        best = {
+            "reference": float("inf"), "fast": float("inf"),
+            "turbo": float("inf"),
+        }
         for _ in range(BATCH_REPS):
             t0 = time.perf_counter()
             latency_throughput_curve(
@@ -175,6 +199,11 @@ def test_engine_speedup_batched_multi_replica(once, bench_record):
             best["reference"] = min(best["reference"],
                                     time.perf_counter() - t0)
             t0 = time.perf_counter()
+            for rate, seed in lanes:
+                run_point(table, traffic, rate, seed=seed, engine="fast",
+                          **budget)
+            best["fast"] = min(best["fast"], time.perf_counter() - t0)
+            t0 = time.perf_counter()
             run_batch(table, traffic, lanes, **budget)
             best["turbo"] = min(best["turbo"], time.perf_counter() - t0)
         return best
@@ -183,24 +212,34 @@ def test_engine_speedup_batched_multi_replica(once, bench_record):
 
     ref_agg = best["reference"] * BATCH_SEEDS
     turbo_speedup = ref_agg / best["turbo"]
+    turbo_vs_fast = best["fast"] / best["turbo"]
     shape = [BATCH_SEEDS, len(rates)]
     print(f"\nbatched multi-replica sweep ({entry.name}, "
           f"{shape[0]}x{shape[1]} lanes)")
     print(f"  reference {best['reference']:.2f}s/seed -> "
           f"{ref_agg:.1f}s for {BATCH_SEEDS} seeds")
+    print(f"  fast per point {best['fast']:.2f}s")
     print(f"  turbo batch {best['turbo']:.2f}s  speedup "
-          f"{turbo_speedup:.2f}x")
+          f"{turbo_speedup:.2f}x over reference, "
+          f"{turbo_vs_fast:.2f}x over fast")
     bench_record(
         workload=f"fig6 medium batched sweep ({entry.name})",
         mode="turbo",
         batch_shape=shape,
         reference_per_seed_s=best["reference"],
         reference_s=ref_agg,
+        fast_s=best["fast"],
         turbo_s=best["turbo"],
         speedup=turbo_speedup,
         floor=TURBO_FLOOR,
+        turbo_vs_fast=turbo_vs_fast,
+        turbo_vs_fast_floor=TURBO_VS_FAST_FLOOR,
     )
     assert turbo_speedup >= TURBO_FLOOR, (
         f"turbo batch speedup {turbo_speedup:.2f}x < {TURBO_FLOOR}x "
         f"aggregate over the reference on {shape} lanes"
+    )
+    assert turbo_vs_fast >= TURBO_VS_FAST_FLOOR, (
+        f"turbo batch {turbo_vs_fast:.2f}x < {TURBO_VS_FAST_FLOOR}x over "
+        f"the fast engine on {shape} lanes"
     )

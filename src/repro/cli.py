@@ -16,21 +16,20 @@ Commands mirror the library's pipeline:
 ``--parallel N`` (fan sim points across N worker processes; 0 = all
 cores), ``--cache-dir PATH`` (on-disk result cache location, default
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``), ``--no-cache`` (bypass the
-cache entirely), and ``--engine fast|reference|turbo`` for open-loop
-simulation (the default fast engine — flat arrays, pre-generated
-vectorized traffic traces, one compiled network shared per routed
-topology — the reference oracle with identical results, or the batched
-turbo engine: statistically validated against the reference rather than
-bit-exact, and without fault-schedule support).  ``simulate``
-additionally takes ``--seeds N`` (N seed replicas per rate, reported as
-mean +- 95% CI; on the exact engines they combine with ``--faults``, and
-turbo advances each wave's replicas as lanes of one batched call).  The
-runner flags cover the open-loop sweeps (fig6/7/10/11) and the
-full-system closed-loop runs (``repro run fig8``/``recovery``), whose
-(benchmark, topology) runs fan out and cache the same way; closed-loop
-runs always use the fast closed-loop engine and ignore ``--engine``.
-Results are bit-identical at any worker count; a cached rerun skips
-simulation outright.
+cache entirely), and ``--engine fast|turbo`` for open-loop simulation
+(the default fast engine — flat arrays, pre-generated vectorized
+traffic traces, one compiled network shared per routed topology — or
+the batched turbo engine: statistically validated against the fast
+engine rather than bit-exact, and without fault-schedule support).
+``simulate`` additionally takes ``--seeds N`` (N seed replicas per
+rate, reported as mean +- 95% CI; on the fast engine they combine with
+``--faults``, and turbo advances each wave's replicas as lanes of one
+batched call).  The runner flags cover the open-loop sweeps
+(fig6/7/10/11) and the full-system closed-loop runs (``repro run
+fig8``/``recovery``), whose (benchmark, topology) runs fan out and cache
+the same way; closed-loop runs always use the fast closed-loop engine
+and ignore ``--engine``.  Results are bit-identical at any worker
+count; a cached rerun skips simulation outright.
 
 Execution is supervised: ``--task-timeout SEC`` bounds each task
 attempt's wall clock, ``--task-retries N`` bounds retries for transient
@@ -135,6 +134,36 @@ def cmd_route(args) -> int:
     print(f"saturation bound: {loads.saturation_injection(topo.n):.3f} "
           f"flits/node/cycle")
     return 0
+
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _make_runner(args):
@@ -261,7 +290,7 @@ def cmd_simulate(args) -> int:
     if faults is not None and args.engine == "turbo":
         raise SystemExit(
             "--engine turbo does not support --faults; use the exact "
-            "engines (fast/reference) for degraded networks"
+            "fast engine for degraded networks"
         )
     runner = _make_runner(args)
     from .runner import CurveJob, QuarantineError
@@ -441,8 +470,7 @@ def cmd_run(args) -> int:
         for name, desc in list_experiments():
             print(f"{name:<16} {desc}")
         print()
-        print("open-loop sim engines: fast (default) | reference | turbo  "
-              "(--engine)")
+        print("open-loop sim engines: fast (default) | turbo  (--engine)")
         print(f"simulate traffic patterns: {', '.join(TRAFFIC_CHOICES)}")
         return 0
     runner = _make_runner(args)
@@ -539,14 +567,13 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         help="bypass the result cache: recompute everything, store nothing",
     )
     parser.add_argument(
-        "--engine", choices=("fast", "reference", "turbo"), default="fast",
+        "--engine", choices=("fast", "turbo"), default="fast",
         help="simulation engine for open-loop sweeps: the fast engine "
              "(default; flat arrays, pre-generated traffic traces, "
-             "compiled-network reuse), the reference oracle "
-             "(bit-identical to fast), or the batched turbo engine "
-             "(statistically validated against the reference, not "
-             "bit-exact; no --faults support).  Closed-loop runs "
-             "(fig8, recovery) ignore it",
+             "compiled-network reuse) or the batched turbo engine "
+             "(statistically validated against fast, not bit-exact; "
+             "no --faults support).  Closed-loop runs (fig8, recovery) "
+             "ignore it",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SEC",
@@ -623,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "router_down/router_up (TARGET router id), e.g. "
                         "500:link_down:2-7,1500:link_up:2-7")
     s.add_argument("--link-class", default=None)
-    s.add_argument("--max-rate", type=float, default=0.4)
-    s.add_argument("--points", type=int, default=8)
-    s.add_argument("--warmup", type=int, default=300)
-    s.add_argument("--measure", type=int, default=1200)
+    s.add_argument("--max-rate", type=_positive_float, default=0.4)
+    s.add_argument("--points", type=_int_at_least(1), default=8)
+    s.add_argument("--warmup", type=_int_at_least(0), default=300)
+    s.add_argument("--measure", type=_int_at_least(1), default=1200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--seeds", type=int, default=1, metavar="N",
                    help="seed replicas per rate (seeds SEED..SEED+N-1), "
@@ -697,8 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip all saturation searches (rank the whole "
                          "sweep on exact graph metrics; shorthand for "
                          "--sim-cutoff 0)")
-    ex.add_argument("--warmup", type=int, default=250)
-    ex.add_argument("--measure", type=int, default=800)
+    ex.add_argument("--warmup", type=_int_at_least(0), default=250)
+    ex.add_argument("--measure", type=_int_at_least(1), default=800)
     ex.add_argument("--iters", type=int, default=5,
                     help="saturation binary-search iterations")
     ex.add_argument("--rank-by",

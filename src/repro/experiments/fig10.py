@@ -49,10 +49,9 @@ def fig10_curves(
     runner: Optional["Runner"] = None,
     engine: Optional[str] = None,
 ) -> Fig10Result:
-    """``engine`` pins the simulation engine ("fast"/"reference");
+    """``engine`` pins the simulation engine ("fast"/"turbo");
     ``None`` uses the runner's default (or "fast" serially).  Either
-    way each routed topology compiles once and its trace-fed sweep
-    produces curves identical to the reference engine's."""
+    way each routed topology compiles once and its sweep is trace-fed."""
     layout = standard_layout(n_routers)
     rates = tuple(rates or DEFAULT_RATES)
     cast = []

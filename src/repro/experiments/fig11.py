@@ -62,7 +62,7 @@ def fig11_points(
 ) -> Fig11Result:
     """With a runner, each topology's whole saturation binary search is
     one task, fanned across workers and cached.  ``engine`` pins the
-    simulation engine ("fast"/"reference"); ``None`` uses the runner's
+    simulation engine ("fast"/"turbo"); ``None`` uses the runner's
     default (or "fast" serially).  Every search's probes share one
     compiled network and are memoized by rate."""
     layout = standard_layout(n_routers)

@@ -60,11 +60,10 @@ def fig6_curves(
     """With a :class:`~repro.runner.Runner`, every (topology, rate) sim
     point fans out across workers and lands in the result cache; without
     one, the original serial sweep runs.  Curves are identical either
-    way.  ``engine`` pins the simulation engine ("fast"/"reference");
-    ``None`` uses the runner's default (or "fast" serially) — both
-    engines produce identical curves.  On the fast engine each routed
-    topology compiles once per curve (per worker, when fanned out) and
-    traffic is pre-generated as vectorized traces."""
+    way.  ``engine`` pins the simulation engine ("fast"/"turbo");
+    ``None`` uses the runner's default (or "fast" serially).  Each
+    routed topology compiles once per curve (per worker, when fanned
+    out) and traffic is pre-generated as vectorized traces."""
     from ..runner import TrafficSpec
 
     layout = standard_layout(n_routers)

@@ -170,6 +170,7 @@ def artifact_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 # The artifact task family rides the same run_tasks machinery as the
 # simulation tasks; results are already plain dicts, so no decoder.
 _tasks.TASK_FUNCTIONS["artifact"] = (artifact_task, lambda d: d)
+_tasks.TASK_VERSIONS["artifact"] = ARTIFACT_VERSION
 
 
 # ---------------------------------------------------------------------------

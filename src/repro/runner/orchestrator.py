@@ -60,7 +60,7 @@ class CurveJob:
     seed: int = 0
     stop_after_saturation: bool = True
     sim_kw: Dict[str, Any] = field(default_factory=dict)
-    #: Simulation engine ("fast"/"reference"); None = the runner's default.
+    #: Simulation engine ("fast"/"turbo"); None = the runner's default.
     engine: Optional[str] = None
     #: Optional :class:`~repro.faults.FaultSchedule` applied to every point.
     faults: Any = None
@@ -80,7 +80,7 @@ class SaturationJob:
     measure: int = 1200
     seed: int = 0
     sim_kw: Dict[str, Any] = field(default_factory=dict)
-    #: Simulation engine ("fast"/"reference"); None = the runner's default.
+    #: Simulation engine ("fast"/"turbo"); None = the runner's default.
     engine: Optional[str] = None
     #: Optional :class:`~repro.faults.FaultSchedule` applied to every probe.
     faults: Any = None

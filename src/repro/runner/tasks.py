@@ -48,45 +48,19 @@ from ..sim.traffic import (
 from ..topology import Layout, Topology
 from .hashing import CanonicalDoc
 
-#: Payload format version; bump to invalidate all cached entries when the
-#: simulator's semantics change.  v2: accepted throughput counts every
-#: packet ejected during the measurement window (not only window-born
-#: ones), and payloads carry the simulation engine.  v3: the fast engine
-#: generates traffic from pre-computed vectorized traces and reuses one
-#: :class:`~repro.sim.fastnet.CompiledNetwork` per routed topology
-#: (results are unchanged — the differential suite pins them — but the
-#: version bump keeps cache provenance unambiguous).  v4: the
-#: ``closed_loop`` task family (full-system PARSEC runs) joins the
-#: payload surface; sim-point/saturation results are unchanged but the
-#: version bump keeps one provenance line for the whole store.  v5: the
-#: design-space pipeline's ``generation``, ``routing``, and
-#: ``gap_curve`` task families join (topology generation, table
-#: compilation, and solver-progress recording become cached, fanned-out
-#: work units); existing simulation results are unchanged.  v6:
-#: robustness scenarios — sim-point/sat-search payloads carry an optional
-#: fault schedule, traffic specs an optional burst modulation, and
-#: :class:`~repro.sim.network.SimStats` a ``lost_packets`` field.
-#: Fault-free stationary results are unchanged (the differential suite
-#: pins them), but the payload surface grew, so provenance bumps.  v7:
-#: sparse-at-scale — routing payloads accept the destination-tree
-#: ``bfs`` policy, table docs gain the ``"csr"`` format (flat
-#: destination-keyed arrays instead of per-(node, src, dst) entries),
-#: and large cached entries are stored zlib-compressed.  Existing
-#: dict-table results are unchanged, but the codec surface grew.  v8:
-#: closed-loop fault tolerance — ``closed_loop`` payloads carry optional
-#: fault schedules and request timeout/retry policies, burst keys grow
-#: the ``lrd`` Pareto shape (``alpha``), and the windowed ``recovery``
-#: task family (transient drain/settling measurement) joins.  Existing
-#: fault-free closed-loop results are unchanged (differential suites pin
-#: them), but the payload surface grew, so provenance bumps.  v9: the
-#: batched multi-replica engine — the ``sim_batch`` task family (S x R
-#: lanes of one table through :func:`repro.sim.batch.run_batch`) joins,
-#: and sim-point payloads may carry ``engine="turbo"``.  Existing
-#: per-point results are unchanged (exact batch lanes are bit-identical
-#: to ``sim_point`` runs, and batched results cross-populate per-lane
-#: ``sim_point`` keys — see :meth:`Runner.batch_points`), but the
-#: payload surface grew, so provenance bumps.
-TASK_VERSION = 9
+#: Payload format version per task family.  A family's version is part
+#: of each of its payloads, hence of its cache keys: bump only the family
+#: whose results change, so the other families keep their cached entries.
+TASK_VERSIONS = {
+    "sim_point": 9,
+    "sim_batch": 9,
+    "sat_search": 9,
+    "closed_loop": 9,
+    "recovery": 9,
+    "generation": 9,
+    "routing": 9,
+    "gap_curve": 9,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +328,7 @@ def sim_point_payload(
 ) -> Dict[str, Any]:
     return {
         "task": "sim_point",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["sim_point"],
         "table": encode_table(table),
         "traffic": traffic.as_dict(),
         "rate": float(rate),
@@ -412,7 +386,7 @@ def sim_batch_payload(
     """
     return {
         "task": "sim_batch",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["sim_batch"],
         "table": encode_table(table),
         "traffic": traffic.as_dict(),
         "lanes": [[float(r), int(s)] for r, s in lanes],
@@ -458,7 +432,7 @@ def sat_search_payload(
 ) -> Dict[str, Any]:
     return {
         "task": "sat_search",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["sat_search"],
         "table": encode_table(table),
         "traffic": traffic.as_dict(),
         "lo": float(lo),
@@ -551,7 +525,7 @@ def closed_loop_payload(
     validate_closed_loop_faults(faults, retry)
     return {
         "task": "closed_loop",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["closed_loop"],
         "table": encode_table(table),
         "workload": _workload_doc(workload),
         "link_class": link_class,
@@ -626,7 +600,7 @@ def recovery_payload(
     validate_closed_loop_faults(faults, retry)
     return {
         "task": "recovery",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["recovery"],
         "table": encode_table(table),
         "workload": _workload_doc(workload),
         "link_class": link_class,
@@ -691,7 +665,7 @@ def generation_payload(
     """
     return {
         "task": "generation",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["generation"],
         "point": point.canonical().as_dict(),
         "seed_incumbent": (
             None if seed_incumbent is None else float(seed_incumbent)
@@ -792,7 +766,7 @@ def routing_payload(
     """
     return {
         "task": "routing",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["routing"],
         "topology": {
             "layout": [topo.layout.rows, topo.layout.cols],
             "links": sorted([int(i), int(j)] for i, j in topo.directed_links),
@@ -855,7 +829,7 @@ def gap_curve_payload(
     """One Fig. 5 solver-progress recording (a whole B&B or HiGHS ladder)."""
     return {
         "task": "gap_curve",
-        "version": TASK_VERSION,
+        "version": TASK_VERSIONS["gap_curve"],
         "config": config.as_dict(),
         "time_limit": float(time_limit),
         "label": str(label),

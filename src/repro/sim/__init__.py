@@ -11,27 +11,14 @@ from .network import (
     DEFAULT_VC_BUFFER_FLITS,
     LINK_LATENCY,
     ROUTER_LATENCY,
-    NetworkSimulator,
     SimStats,
 )
-from .packet import (
-    CONTROL_FLITS,
-    DATA_FLITS,
-    MEAN_FLITS_PER_PACKET,
-    Packet,
-)
-from .stats import (
-    ChannelStats,
-    DeadlockError,
-    InstrumentationReport,
-    InstrumentedSimulator,
-    measure_activity,
-)
+from .packet import CONTROL_FLITS, DATA_FLITS, MEAN_FLITS_PER_PACKET
+from .stats import measure_activity
 from .sweep import (
     ReplicaPoint,
     SweepPoint,
     SweepResult,
-    compile_for_engine,
     find_saturation,
     latency_throughput_curve,
     run_point,
@@ -54,7 +41,6 @@ from .traffic import (
 )
 
 __all__ = [
-    "NetworkSimulator",
     "FastNetworkSimulator",
     "CompiledNetwork",
     "TraceStream",
@@ -63,9 +49,7 @@ __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
     "resolve_engine",
-    "compile_for_engine",
     "SimStats",
-    "Packet",
     "CONTROL_FLITS",
     "DATA_FLITS",
     "MEAN_FLITS_PER_PACKET",
@@ -82,10 +66,6 @@ __all__ = [
     "transpose",
     "tornado",
     "neighbor",
-    "InstrumentedSimulator",
-    "InstrumentationReport",
-    "ChannelStats",
-    "DeadlockError",
     "measure_activity",
     "latency_throughput_curve",
     "find_saturation",

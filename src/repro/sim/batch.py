@@ -14,31 +14,31 @@ pre-generated in one vectorized pass per lane
 (:func:`~repro.sim.trace.pregenerate_batch`) and the cycle loop is
 branch-free across lanes.  Turbo is statistically validated, not
 bit-exact: per-point KS tests pin its latency/throughput distributions
-against the reference engine (see ``tests/test_batch.py``).  Bit-exact
+against the fast engine (see ``tests/test_batch.py``).  Bit-exact
 seed replicas are per-point ``engine="fast"`` runs.
 
 What turbo gives up (the documented relaxations):
 
 1. **Draw order** — each lane consumes its own ``default_rng(seed)``
-   stream in bulk array passes instead of replaying the reference's
+   stream in bulk array passes instead of replaying the fast engine's
    interleaved per-packet draws.  Same count law, same destination and
    size marginals, different stream.  Burst gates still come from the
    spec-seeded dedicated chain, so modulated lanes see the *identical*
-   gate sequence the exact engines see.
-2. **Same-cycle credit ripple** — the reference arbitrates routers in
+   gate sequence the fast engine sees.
+2. **Same-cycle credit ripple** — the fast engine arbitrates routers in
    ascending index with same-cycle visibility of earlier routers'
    credit releases.  Turbo grants all outputs simultaneously against
    start-of-cycle credit/busy state (one cycle of extra credit latency
    in the worst case).
-3. **Round-robin pointer semantics** — the reference rotates a pointer
+3. **Round-robin pointer semantics** — the fast engine rotates a pointer
    over the per-cycle *requester list*; turbo rotates a rank threshold
    over the router's *static input scan order* (injection VCs first,
-   then link VCs in topology order — the same order the reference
+   then link VCs in topology order — the same order the fast engine
    scans).  Both are livelock-free rotating priorities.
 
 Restrictions (raise ``ValueError``): fault schedules and closed-loop
-hooks are unsupported (use the fast or reference engine), and the
-traffic pattern must carry a :class:`~repro.sim.traffic.DestSpec`.
+hooks are unsupported (use the fast engine), and the traffic pattern
+must carry a :class:`~repro.sim.traffic.DestSpec`.
 
 ``ENGINES["turbo"]`` registers :class:`TurboNetworkSimulator`, a
 single-point adapter (a 1-lane batch), so ``--engine turbo`` works
@@ -415,10 +415,9 @@ class TurboNetworkSimulator:
     Drop-in for the engine registry (``engine="turbo"``): same
     constructor surface as :class:`FastNetworkSimulator`, ``run`` is a
     one-lane :func:`run_batch`.  Statistically validated against the
-    reference, not bit-exact — and single-use: one ``run`` per instance.
+    fast engine, not bit-exact — and single-use: one ``run`` per
+    instance.
     """
-
-    supports_compiled = True
 
     def __init__(
         self,
@@ -436,7 +435,7 @@ class TurboNetworkSimulator:
         if faults is not None:
             raise ValueError(
                 "turbo mode does not support fault schedules; use "
-                "engine='fast' or engine='reference'"
+                "engine='fast'"
             )
         self.table = table
         self.traffic = traffic

@@ -29,10 +29,11 @@ Two chain kinds:
 
 The gate draws come from a *dedicated* RNG seeded by the spec — never
 from the simulation's packet-draw stream.  Only the per-(cycle, node)
-Bernoulli threshold changes; the reference engine, the fast engine's
-inline path, and :class:`~repro.sim.trace.TraceStream` all consume the
-identical gate sequence, so bursty runs stay bit-identical across
-engines exactly like stationary ones.
+Bernoulli threshold changes; the reference oracle
+(``tests/network_oracle.py``), :class:`~repro.sim.trace.TraceStream`
+(the fast engine's traffic) and turbo's batched traces all consume the
+identical gate sequence, so bursty runs stay bit-identical across the
+exact engines exactly like stationary ones.
 
 All chains start OFF at cycle 0, so a short run's realized mean sits
 slightly below nominal; the stationary mean matches (tests pin it over

@@ -1,10 +1,12 @@
-"""Flat-array fast engine for the NoI simulator.
+"""Flat-array fast engine: the production open-loop NoI simulator.
 
-``FastNetworkSimulator`` re-implements :class:`repro.sim.network.
-NetworkSimulator` with the same cycle-level semantics and the same RNG
-draw order — differential tests assert bit-identical :class:`SimStats`
-against the reference engine — but with the dict-of-objects hot path
-compiled down to integer-indexed flat structures:
+``FastNetworkSimulator`` implements the network model of
+:mod:`repro.sim.network` with the cycle-level semantics and RNG draw
+order of the reference object-graph simulator (the test-only oracle
+``tests/network_oracle.py``) — differential tests assert bit-identical
+:class:`SimStats` and per-link flit counts against it — but with the
+dict-of-objects hot path compiled down to integer-indexed flat
+structures:
 
 * **compiled networks** — the dense ``(node, src, dst) -> next hop``
   and per-flow VC tables, channel id maps, input scan orders, and VC
@@ -56,9 +58,11 @@ compiled down to integer-indexed flat structures:
   once per segment instead of once per cycle, and measurement counters
   accumulate in locals that are flushed back when the segment ends.
 
-The reference engine stays the differential oracle (and the base class
-for :class:`~repro.sim.stats.InstrumentedSimulator`); this engine is the
-workhorse behind sweeps and saturation searches (``engine="fast"``).
+This engine is the workhorse behind sweeps, saturation searches and
+the closed loop (``engine="fast"``).  It also counts the flits each
+directed link carries (:attr:`FastNetworkSimulator.link_flits`), the
+per-link activity :func:`~repro.sim.stats.measure_activity` hands to
+the power model.
 
 One caveat of trace-fed generation: the simulator's Generator is
 consumed in pre-drawn chunks, so mutating ``sim.rate`` mid-run diverges
@@ -79,7 +83,6 @@ from .network import (
     DEFAULT_VC_BUFFER_FLITS,
     LINK_LATENCY,
     ROUTER_LATENCY,
-    NetworkSimulator,
     SimStats,
 )
 from .trace import TraceStream
@@ -93,9 +96,8 @@ PacketRecord = Tuple[int, int, int, int, int, int]
 #: Injection event record: (cycle, node, vc, key, size, dst).
 EventRecord = Tuple[int, int, int, int, int, int]
 
-#: Engine name -> simulator class.  ``DEFAULT_ENGINE`` is what sweeps,
-#: the runner, and the CLI use unless told otherwise; ``"reference"``
-#: remains available everywhere as the differential oracle.
+#: Engine name -> simulator class (:data:`ENGINES`).  ``DEFAULT_ENGINE``
+#: is what sweeps, the runner, and the CLI use unless told otherwise.
 DEFAULT_ENGINE = "fast"
 
 _NEVER = 1 << 60  # sentinel wake time: no pending timer found yet
@@ -245,10 +247,7 @@ class CompiledNetwork:
 
 
 class FastNetworkSimulator:
-    """Flat-array drop-in for :class:`NetworkSimulator` (same stats)."""
-
-    #: ``run_point`` passes a shared :class:`CompiledNetwork` when set.
-    supports_compiled = True
+    """One open-loop simulation bound to a routing table and traffic."""
 
     #: Closed-loop extension points (see :mod:`repro.fullsys.fastloop`).
     #: ``_closed_gen(cycle, pending, in_flight, pid)`` replaces the whole
@@ -268,9 +267,8 @@ class FastNetworkSimulator:
     #: retry path instead of stranding their transactions.
     _closed_faults = False
 
-    #: Epoch-swap drop collector (see :class:`~repro.sim.network.
-    #: NetworkSimulator`): a list set by the closed-loop subclass around
-    #: ``_apply_epoch``; dropped records append ``(size, meta)``.
+    #: Epoch-swap drop collector: a list set by the closed-loop subclass
+    #: around ``_apply_epoch``; dropped records append ``(size, meta)``.
     _drop_log = None
 
     #: Trace chunk length override (None = :data:`~repro.sim.trace.
@@ -353,6 +351,9 @@ class FastNetworkSimulator:
 
         self.free = [self.vc_cap] * nq
         self.busy_until = [0] * L
+        #: Flits granted onto each directed link (topology order) since
+        #: cycle 0, warmup included — the per-link activity counter.
+        self.link_flits = [0] * L
         self.rr = [0] * L
         self.inj_busy = [0] * n
         self.ej_busy = [0] * n
@@ -448,8 +449,7 @@ class FastNetworkSimulator:
         every hot container is a local.  Each cycle performs, in order:
         per-node generation (draining the pre-generated trace), source-
         queue injection, and per-router arbitration in ascending router
-        index — exactly the reference's :meth:`~NetworkSimulator.step`
-        sequence.
+        index — exactly the reference's per-cycle ``step`` sequence.
         """
         if ncycles <= 0:
             return
@@ -495,6 +495,7 @@ class FastNetworkSimulator:
         cwait = self.cwait
         slot_ch = self.slot_ch
         busy_until = self.busy_until
+        link_flits = self.link_flits
         rr = self.rr
         ej_busy = self.ej_busy
         ej_rr = self.ej_rr
@@ -776,6 +777,7 @@ class FastNetworkSimulator:
                         free[oslot] -= size
                         done = cycle + size
                         busy_until[out] = done
+                        link_flits[out] += size
                         v = ch_dst[out]
                         src = rec[3]
                         dst = rec[4]
@@ -1068,7 +1070,4 @@ class FastNetworkSimulator:
         )
 
 
-ENGINES = {
-    "reference": NetworkSimulator,
-    "fast": FastNetworkSimulator,
-}
+ENGINES = {"fast": FastNetworkSimulator}

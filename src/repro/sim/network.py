@@ -1,6 +1,9 @@
-"""Cycle-driven NoI network simulator (the HeteroGarnet substitute).
+"""The NoI network model's parameters and its measurement record.
 
-Models an input-queued, virtual-channel, virtual-cut-through network:
+The open-loop engines (:mod:`repro.sim.fastnet`, the production engine,
+and the batched :mod:`repro.sim.batch`) model an input-queued,
+virtual-channel, virtual-cut-through network (the HeteroGarnet
+substitute):
 
 * each directed link is a physical channel with 1 flit/cycle capacity; a
   packet of ``k`` flits occupies its channel for ``k`` cycles
@@ -18,24 +21,18 @@ Models an input-queued, virtual-channel, virtual-cut-through network:
   local port bottlenecks (paper II-D) are present but provisioned
   per-router as the paper assumes.
 
-The simulator reports average packet latency (cycles) and accepted
-throughput; :mod:`repro.sim.sweep` converts these into the paper's
-latency-vs-throughput curves with per-class clock scaling.
+This module holds what the engines share: the model's latencies and
+buffer depth, and :class:`SimStats`, the average packet latency
+(cycles) and accepted throughput of one measurement window;
+:mod:`repro.sim.sweep` converts these into the paper's
+latency-vs-throughput curves with per-class clock scaling.  The
+reference implementation the engines are tested against is the
+object-graph simulator in ``tests/network_oracle.py`` (test-only).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from ..routing.tables import RoutingTable
-from .packet import Packet
-from .traffic import TrafficPattern
-
-Channel = Tuple[int, int]
+from dataclasses import dataclass
 
 ROUTER_LATENCY = 2  # cycles per router pipeline (Table IV)
 LINK_LATENCY = 1  # cycles per link traversal
@@ -101,330 +98,4 @@ class SimStats:
         """
         return (self.offered_packets - self.lost_packets) / (
             self.n_nodes * self.cycles
-        )
-
-
-class NetworkSimulator:
-    """One simulation instance bound to a routing table and traffic."""
-
-    def __init__(
-        self,
-        table: RoutingTable,
-        traffic: TrafficPattern,
-        injection_rate: float,
-        seed: int = 0,
-        vc_buffer_flits: int = DEFAULT_VC_BUFFER_FLITS,
-        router_latency: int = ROUTER_LATENCY,
-        link_latency: int = LINK_LATENCY,
-        extra_hop_latency: int = 0,
-        faults=None,
-    ):
-        # Fault mode swaps in the timeline's (possibly VC-padded) base
-        # table before any sizing happens; `faults=None` leaves the
-        # pristine path untouched.
-        self._timeline = None
-        self._epoch_i = 0
-        self._faulty = faults is not None
-        if faults is not None:
-            from ..faults.timeline import FaultTimeline
-
-            self._timeline = FaultTimeline.for_table(table, faults)
-            table = self._timeline.epochs[0].table
-        self.table = table
-        self.topo = table.topology
-        self.traffic = traffic
-        self.rate = float(injection_rate)
-        self.rng = np.random.default_rng(seed)
-        self.vc_cap = vc_buffer_flits
-        self.hop_delay = router_latency + link_latency + extra_hop_latency
-        self.num_vcs = table.num_vcs
-
-        n = self.topo.n
-        self.n = n
-        # physical channels: directed links plus one injection pseudo-channel
-        # per router (key (-1, r)); ejection handled by per-router port.
-        self.channels: List[Channel] = list(self.topo.directed_links)
-        self.inputs_of: Dict[int, List[Channel]] = {
-            r: [(-1, r)] for r in range(n)
-        }
-        for (u, v) in self.channels:
-            self.inputs_of[v].append((u, v))
-
-        all_queues = self.channels + [(-1, r) for r in range(n)]
-        self.queues: Dict[Channel, List[Deque[Tuple[int, Packet]]]] = {
-            c: [deque() for _ in range(self.num_vcs)] for c in all_queues
-        }
-        self.free_flits: Dict[Channel, List[int]] = {
-            c: [self.vc_cap] * self.num_vcs for c in all_queues
-        }
-        self.busy_until: Dict[Channel, int] = {c: 0 for c in self.channels}
-        self.rr: Dict[Channel, int] = {c: 0 for c in self.channels}
-        self.inj_busy = [0] * n
-        self.ej_busy = [0] * n
-        self.ej_rr = [0] * n
-        self.source_q: List[Deque[Packet]] = [deque() for _ in range(n)]
-
-        self._pid = 0
-        self.cycle = 0
-        # Grant-site observer: called as cb(out_channel, pkt) whenever a
-        # packet wins output arbitration.  ``None`` (the default) keeps
-        # the hot path free of instrumentation cost.
-        self._grant_cb = None
-        # measurement state
-        self.measuring = False
-        self.measure_start = 0
-        self.offered = 0
-        self.ejected = 0
-        self.ejected_flits = 0
-        self.lat_sum = 0.0
-        self.lat_count = 0
-        self.lost = 0
-        self.in_flight = 0
-        # Bursty modulation: a dedicated gate chain scales the per-cycle
-        # Bernoulli threshold; the packet-draw stream is untouched.
-        self._burst = (
-            traffic.burst.state(self.n) if traffic.burst is not None else None
-        )
-
-    # -- injection ------------------------------------------------------------
-    def _generate(self) -> None:
-        lam = self.rate
-        if lam <= 0:
-            return
-        draws = self.rng.random(self.n)
-        gates = self._burst.row(self.cycle) if self._burst is not None else None
-        flow_vc = self.table.flow_vc
-        for node in range(self.n):
-            # Bernoulli per cycle; rates above 1.0 inject multiple packets.
-            eff = lam if gates is None else lam * gates[node]
-            count = int(eff) + (1 if draws[node] < eff - int(eff) else 0)
-            for _ in range(count):
-                dst = self.traffic.destination(node, self.rng)
-                size = self.traffic.packet_size(self.rng)
-                if self._faulty and (node, dst) not in flow_vc:
-                    # The degraded table cannot route this flow: the
-                    # packet is offered (all its draws were made, so the
-                    # RNG stream matches the pristine run) but lost.
-                    if self.measuring:
-                        self.offered += 1
-                        self.lost += 1
-                    continue
-                pkt = Packet(
-                    pid=self._pid,
-                    src=node,
-                    dst=dst,
-                    size_flits=size,
-                    birth_cycle=self.cycle,
-                    vc=self.table.vc(node, dst),
-                    is_data=size > 1,
-                )
-                self._pid += 1
-                self.source_q[node].append(pkt)
-                self.in_flight += 1
-                if self.measuring:
-                    self.offered += 1
-
-    def _inject(self) -> None:
-        for node in range(self.n):
-            if self.inj_busy[node] > self.cycle or not self.source_q[node]:
-                continue
-            pkt = self.source_q[node][0]
-            inj = (-1, node)
-            if self.free_flits[inj][pkt.vc] < pkt.size_flits:
-                continue
-            self.source_q[node].popleft()
-            self.free_flits[inj][pkt.vc] -= pkt.size_flits
-            self.inj_busy[node] = self.cycle + pkt.size_flits
-            self.queues[inj][pkt.vc].append((self.cycle + pkt.size_flits, pkt))
-
-    # -- switching -------------------------------------------------------------
-    def _arbitrate_router(self, u: int) -> None:
-        # Collect ready head packets per requested output.
-        requests: Dict[Optional[int], List[Tuple[Channel, int]]] = {}
-        for in_ch in self.inputs_of[u]:
-            qs = self.queues[in_ch]
-            for vc in range(self.num_vcs):
-                q = qs[vc]
-                if not q:
-                    continue
-                ready, pkt = q[0]
-                if ready > self.cycle:
-                    continue
-                if pkt.dst == u:
-                    requests.setdefault(None, []).append((in_ch, vc))
-                else:
-                    v = self.table.hop(u, pkt.src, pkt.dst)
-                    requests.setdefault(v, []).append((in_ch, vc))
-
-        for v, reqs in requests.items():
-            if v is None:
-                self._eject(u, reqs)
-                continue
-            out = (u, v)
-            if self.busy_until[out] > self.cycle:
-                continue
-            # round-robin among requestors, skipping those blocked downstream
-            start = self.rr[out] % len(reqs)
-            for k in range(len(reqs)):
-                in_ch, vc = reqs[(start + k) % len(reqs)]
-                _, pkt = self.queues[in_ch][vc][0]
-                if self.free_flits[out][pkt.vc] < pkt.size_flits:
-                    continue
-                self.queues[in_ch][vc].popleft()
-                self.free_flits[in_ch][vc] += pkt.size_flits
-                self.free_flits[out][pkt.vc] -= pkt.size_flits
-                done = self.cycle + pkt.size_flits
-                self.busy_until[out] = done
-                self.queues[out][pkt.vc].append((done + self.hop_delay, pkt))
-                self.rr[out] = (start + k + 1) % len(reqs)
-                if self._grant_cb is not None:
-                    self._grant_cb(out, pkt)
-                break
-
-    def _eject(self, u: int, reqs: List[Tuple[Channel, int]]) -> None:
-        if self.ej_busy[u] > self.cycle:
-            return
-        start = self.ej_rr[u] % len(reqs)
-        in_ch, vc = reqs[start]
-        _, pkt = self.queues[in_ch][vc].popleft()
-        self.free_flits[in_ch][vc] += pkt.size_flits
-        self.ej_busy[u] = self.cycle + pkt.size_flits
-        self.ej_rr[u] = start + 1
-        self.in_flight -= 1
-        if self.measuring:
-            # Accepted throughput counts every packet delivered during the
-            # measurement window, including warmup-born packets draining
-            # through it — otherwise throughput is understated near
-            # saturation (where transit times stretch past the window
-            # boundary) and the acceptance-floor test flags too early.
-            self.ejected += 1
-            self.ejected_flits += pkt.size_flits
-            if pkt.birth_cycle >= self.measure_start:
-                # Latency is still sampled only for packets born inside
-                # the window: a warmup-born packet's age is not a
-                # steady-state latency observation.
-                self.lat_sum += pkt.latency(self.cycle + pkt.size_flits)
-                self.lat_count += 1
-        self._on_eject(pkt)
-
-    def _on_eject(self, pkt: Packet) -> None:
-        """Hook for closed-loop extensions (full-system model)."""
-
-    #: When a closed-loop subclass sets this to a list around an epoch
-    #: swap, ``_apply_epoch`` appends every dropped packet to it instead
-    #: of losing them silently — the retry path re-arms their
-    #: transactions.  ``None`` (open loop) keeps the drop-and-count
-    #: behavior.
-    _drop_log = None
-
-    # -- fault epochs ---------------------------------------------------------
-    def _apply_epoch(self, epoch) -> None:
-        """Swap in a fault epoch's table at the start of its cycle.
-
-        The canonical walk (link channels in topology order, then
-        injection channels by router, VCs ascending, FIFO within each)
-        drops packets the new network cannot carry and re-keys the
-        survivors to the flow (current router, dst); both engines
-        implement this identical contract, so stats stay bit-equal.
-        Buffer credits are recomputed from surviving occupancy; port and
-        link timers keep running across the swap.
-        """
-        new_table = epoch.table
-        flow_vc = new_table.flow_vc
-        dead_links = epoch.dead_links
-        dead_routers = epoch.dead_routers
-        cycle = self.cycle
-        V = self.num_vcs
-        dropped = 0
-        drop_log = self._drop_log
-
-        all_queues = self.channels + [(-1, r) for r in range(self.n)]
-        for ch in all_queues:
-            qs = self.queues[ch]
-            cur = ch[1]  # downstream router (== the router, for injection)
-            link_dead = ch[0] >= 0 and ch in dead_links
-            ch_dead = cur in dead_routers
-            per_vc: List[List[Tuple[int, Packet]]] = [[] for _ in range(V)]
-            for vc in range(V):
-                for ready, pkt in qs[vc]:
-                    if (
-                        ch_dead
-                        or (link_dead and ready > cycle)
-                        or (cur != pkt.dst and (cur, pkt.dst) not in flow_vc)
-                    ):
-                        dropped += 1
-                        if drop_log is not None:
-                            drop_log.append(pkt)
-                        continue
-                    pkt.src = cur
-                    if cur != pkt.dst:
-                        pkt.vc = flow_vc[(cur, pkt.dst)]
-                    per_vc[pkt.vc].append((ready, pkt))
-            for vc in range(V):
-                qs[vc] = deque(per_vc[vc])
-
-        for c in all_queues:
-            ff = self.free_flits[c]
-            for vc in range(V):
-                ff[vc] = self.vc_cap - sum(
-                    p.size_flits for _, p in self.queues[c][vc]
-                )
-
-        for node in range(self.n):
-            sq = self.source_q[node]
-            if not sq:
-                continue
-            keep: Deque[Packet] = deque()
-            for pkt in sq:
-                if node in dead_routers or (
-                    node != pkt.dst and (node, pkt.dst) not in flow_vc
-                ):
-                    dropped += 1
-                    if drop_log is not None:
-                        drop_log.append(pkt)
-                    continue
-                if node != pkt.dst:
-                    pkt.vc = flow_vc[(node, pkt.dst)]
-                keep.append(pkt)
-            self.source_q[node] = keep
-
-        self.in_flight -= dropped
-        if self.measuring:
-            self.lost += dropped
-        self.table = new_table
-
-    # -- main loop ----------------------------------------------------------------
-    def step(self) -> None:
-        tl = self._timeline
-        if tl is not None:
-            while (
-                self._epoch_i + 1 < len(tl.epochs)
-                and tl.epochs[self._epoch_i + 1].start <= self.cycle
-            ):
-                self._epoch_i += 1
-                self._apply_epoch(tl.epochs[self._epoch_i])
-        self._generate()
-        self._inject()
-        for u in range(self.n):
-            self._arbitrate_router(u)
-        self.cycle += 1
-
-    def run(self, warmup: int, measure: int) -> SimStats:
-        """Warm up, then measure for ``measure`` cycles."""
-        for _ in range(warmup):
-            self.step()
-        self.measuring = True
-        self.measure_start = self.cycle
-        for _ in range(measure):
-            self.step()
-        self.measuring = False
-        return SimStats(
-            cycles=measure,
-            offered_packets=self.offered,
-            ejected_packets=self.ejected,
-            ejected_flits=self.ejected_flits,
-            latency_sum=self.lat_sum,
-            latency_count=self.lat_count,
-            n_nodes=self.n,
-            lost_packets=self.lost,
         )

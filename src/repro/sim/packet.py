@@ -1,4 +1,4 @@
-"""Packet model for the NoI simulator (paper Section IV).
+"""Packet sizes for the NoI simulator (paper Section IV).
 
 Control packets are 8 B and data packets 72 B; with the paper's 8 B link
 width that is 1 and 9 flits respectively, injected with equal likelihood
@@ -6,8 +6,6 @@ by the synthetic generators.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 LINK_WIDTH_BYTES = 8
 CONTROL_BYTES = 8
@@ -18,26 +16,3 @@ DATA_FLITS = DATA_BYTES // LINK_WIDTH_BYTES  # 9
 
 #: Mean flits per packet under the 50/50 control/data mix.
 MEAN_FLITS_PER_PACKET = (CONTROL_FLITS + DATA_FLITS) / 2
-
-
-@dataclass(slots=True)
-class Packet:
-    """One network packet traversing the NoI.
-
-    ``tid`` is the closed-loop transaction id: a request and the reply it
-    triggers share one, so timeout/retry bookkeeping can match a stale
-    retransmission (or a packet dropped by a fault epoch) back to its
-    transaction.  Open-loop packets leave it 0.
-    """
-
-    pid: int
-    src: int
-    dst: int
-    size_flits: int
-    birth_cycle: int
-    vc: int = 0
-    is_data: bool = False
-    tid: int = 0
-
-    def latency(self, eject_cycle: int) -> int:
-        return eject_cycle - self.birth_cycle

@@ -1,7 +1,8 @@
 """Bit-exact, vectorizable reconstruction of numpy's PCG64 draw stream.
 
-The reference simulator's traffic generation interleaves three kinds of
-draws from one ``np.random.Generator``:
+The reference simulator's traffic generation (the test-only oracle
+``tests/network_oracle.py``) interleaves three kinds of draws from one
+``np.random.Generator``:
 
 * ``rng.random(n)`` / ``rng.random()`` — each double consumes one raw
   64-bit word: ``(u >> 11) * 2**-53``;

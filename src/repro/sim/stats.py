@@ -1,32 +1,24 @@
-"""Extended simulation instrumentation: channel utilization, latency
-distributions, and a deadlock watchdog.
+"""Derived simulation statistics: recovery transients and link activity.
 
-``InstrumentedSimulator`` extends the base simulator with the per-channel
-activity statistics the paper feeds into DSENT ("activity statistics on
-just the NoI topology was input to DSENT", Section V-D) and with a
-forward-progress watchdog that turns a silent wormhole deadlock or
-routing livelock into a loud failure — invaluable when experimenting with
-custom VC assignments.
+:class:`WindowSample` and :func:`recovery_metrics` turn the closed-loop
+engines' windowed counters into time-to-drain and settling times after a
+fault heals.  :func:`measure_activity` is the simulation-to-DSENT
+hand-off: the mean per-link utilization the paper feeds into DSENT
+("activity statistics on just the NoI topology was input to DSENT",
+Section V-D), counted by the fast engine on the data path that carries
+the traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from ..routing.tables import RoutingTable
-from .network import NetworkSimulator
-from .packet import Packet
+from .fastnet import FastNetworkSimulator
 from .traffic import TrafficPattern
-
-Channel = Tuple[int, int]
-
-
-class DeadlockError(RuntimeError):
-    """Raised when the watchdog sees packets in flight but no ejections
-    for ``watchdog_cycles`` consecutive cycles."""
 
 
 @dataclass(frozen=True)
@@ -182,118 +174,6 @@ def recovery_metrics(
     )
 
 
-@dataclass
-class ChannelStats:
-    """Activity accounting for one directed channel."""
-
-    busy_cycles: int = 0
-    packets: int = 0
-    flits: int = 0
-
-    def utilization(self, cycles: int) -> float:
-        return self.busy_cycles / cycles if cycles else 0.0
-
-
-@dataclass
-class InstrumentationReport:
-    """Everything the extended simulator measured."""
-
-    cycles: int
-    channel_stats: Dict[Channel, ChannelStats]
-    latencies: np.ndarray
-
-    @property
-    def mean_utilization(self) -> float:
-        if not self.channel_stats:
-            return 0.0
-        return float(
-            np.mean([s.utilization(self.cycles) for s in self.channel_stats.values()])
-        )
-
-    @property
-    def max_utilization(self) -> float:
-        if not self.channel_stats:
-            return 0.0
-        return float(
-            np.max([s.utilization(self.cycles) for s in self.channel_stats.values()])
-        )
-
-    def hottest_channels(self, k: int = 5) -> List[Tuple[Channel, float]]:
-        """The k most-utilized channels (the simulated bottlenecks —
-        compare against MCLB's predicted max-load channels)."""
-        items = [
-            (ch, s.utilization(self.cycles)) for ch, s in self.channel_stats.items()
-        ]
-        return sorted(items, key=lambda kv: -kv[1])[:k]
-
-    def latency_percentiles(self, qs=(50, 90, 99)) -> Dict[int, float]:
-        if self.latencies.size == 0:
-            return {q: float("nan") for q in qs}
-        return {q: float(np.percentile(self.latencies, q)) for q in qs}
-
-    def activity_factor(self) -> float:
-        """Mean channel utilization — the DSENT activity input."""
-        return self.mean_utilization
-
-
-class InstrumentedSimulator(NetworkSimulator):
-    """Base simulator + per-channel activity, latency samples, watchdog."""
-
-    def __init__(
-        self,
-        table: RoutingTable,
-        traffic: TrafficPattern,
-        injection_rate: float,
-        watchdog_cycles: int = 8000,
-        **kw,
-    ):
-        super().__init__(table, traffic, injection_rate, **kw)
-        self.watchdog_cycles = int(watchdog_cycles)
-        self._last_eject_cycle = 0
-        self._channel_stats: Dict[Channel, ChannelStats] = {
-            c: ChannelStats() for c in self.channels
-        }
-        self._latency_samples: List[int] = []
-        # Channel occupancy is recorded at the grant site (the base
-        # simulator invokes the callback for every arbitration win), so
-        # idle channels cost nothing — unlike snapshotting ``busy_until``
-        # for every outgoing channel of every router each cycle.
-        self._grant_cb = self._record_grant
-
-    def _record_grant(self, channel: Channel, pkt: Packet) -> None:
-        st = self._channel_stats[channel]
-        st.busy_cycles += pkt.size_flits
-        st.packets += 1
-        st.flits += pkt.size_flits
-
-    def _on_eject(self, pkt: Packet) -> None:
-        self._last_eject_cycle = self.cycle
-        # Mirror the base accounting: latency samples only for packets
-        # born inside the measurement window (matching ``lat_count``).
-        if self.measuring and pkt.birth_cycle >= self.measure_start:
-            self._latency_samples.append(self.cycle + pkt.size_flits - pkt.birth_cycle)
-        super()._on_eject(pkt)
-
-    def step(self) -> None:
-        super().step()
-        if (
-            self.in_flight > 0
-            and self.cycle - self._last_eject_cycle > self.watchdog_cycles
-        ):
-            raise DeadlockError(
-                f"no ejection for {self.watchdog_cycles} cycles with "
-                f"{self.in_flight} packets in flight at cycle {self.cycle} "
-                f"(deadlock or pathological livelock)"
-            )
-
-    def report(self) -> InstrumentationReport:
-        return InstrumentationReport(
-            cycles=max(self.cycle, 1),
-            channel_stats=dict(self._channel_stats),
-            latencies=np.asarray(self._latency_samples, dtype=float),
-        )
-
-
 def measure_activity(
     table: RoutingTable,
     traffic: TrafficPattern,
@@ -302,9 +182,14 @@ def measure_activity(
     measure: int = 1200,
     seed: int = 0,
 ) -> float:
-    """Simulated mean channel utilization at an operating point — the
+    """Simulated mean link utilization at an operating point — the
     activity factor for :func:`repro.power.analyze` (the paper's
-    simulation→DSENT hand-off)."""
-    sim = InstrumentedSimulator(table, traffic, rate, seed=seed)
+    simulation→DSENT hand-off).
+
+    Each directed link's utilization is the flits it carried over the
+    whole run (warmup plus measurement) per cycle, from the fast
+    engine's :attr:`~repro.sim.fastnet.FastNetworkSimulator.link_flits`.
+    """
+    sim = FastNetworkSimulator(table, traffic, rate, seed=seed)
     sim.run(warmup, measure)
-    return sim.report().activity_factor()
+    return float(np.mean([f / max(sim.cycle, 1) for f in sim.link_flits]))

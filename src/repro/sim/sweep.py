@@ -17,8 +17,8 @@ import numpy as np
 
 from ..routing.tables import RoutingTable
 from ..topology.layout import CLASS_CLOCK_GHZ
-from .fastnet import CompiledNetwork, DEFAULT_ENGINE, resolve_engine
-from .network import NetworkSimulator, SimStats
+from .fastnet import DEFAULT_ENGINE, resolve_engine
+from .network import SimStats
 from .traffic import TrafficPattern
 
 #: A run saturates when latency exceeds this multiple of zero-load latency
@@ -84,19 +84,6 @@ class SweepResult:
         return x, y
 
 
-def compile_for_engine(engine: str, table: RoutingTable) -> Optional[CompiledNetwork]:
-    """The table's :class:`CompiledNetwork` when ``engine`` consumes one.
-
-    Sweeps and saturation searches call this once and thread the result
-    through every :func:`run_point`, so a whole curve (and every
-    bisection probe) shares a single compile.
-    """
-    cls = resolve_engine(engine)
-    if getattr(cls, "supports_compiled", False):
-        return CompiledNetwork.for_table(table)
-    return None
-
-
 def run_point(
     table: RoutingTable,
     traffic: TrafficPattern,
@@ -105,27 +92,23 @@ def run_point(
     measure: int = 2000,
     seed: int = 0,
     engine: str = DEFAULT_ENGINE,
-    compiled: Optional[CompiledNetwork] = None,
     faults=None,
     **sim_kw,
 ) -> SimStats:
-    """One measurement.  ``engine`` picks the simulator implementation
-    (``"fast"`` flat-array engine or the ``"reference"`` oracle); both
-    produce identical :class:`SimStats` for identical inputs.
+    """One measurement.  ``engine`` picks the simulator implementation:
+    the bit-exact ``"fast"`` flat-array engine or the batched
+    ``"turbo"`` engine, statistically validated against it.  Both take
+    the table's memoized :class:`~repro.sim.fastnet.CompiledNetwork`
+    (:meth:`~repro.sim.fastnet.CompiledNetwork.for_table`), so every
+    measurement over one table shares a single compile.
 
-    ``compiled`` shares a pre-built :class:`CompiledNetwork` across
-    measurements (engines that don't consume one ignore it; the fast
-    engine also falls back to the per-table memo when it is None).
-    ``faults`` is an optional :class:`~repro.faults.FaultSchedule`; both
-    engines honor it by swapping survivor tables at fault epochs.
+    ``faults`` is an optional :class:`~repro.faults.FaultSchedule`; the
+    fast engine honors it by swapping survivor tables at fault epochs
+    (turbo rejects it).
     """
-    cls = resolve_engine(engine)
     if faults is not None:
         sim_kw["faults"] = faults
-    if getattr(cls, "supports_compiled", False):
-        sim = cls(table, traffic, rate, seed=seed, compiled=compiled, **sim_kw)
-    else:
-        sim = cls(table, traffic, rate, seed=seed, **sim_kw)
+    sim = resolve_engine(engine)(table, traffic, rate, seed=seed, **sim_kw)
     return sim.run(warmup, measure)
 
 
@@ -201,19 +184,17 @@ def latency_throughput_curve(
 ) -> SweepResult:
     """Sweep offered injection rates and build the latency curve.
 
-    The routed topology compiles once (:func:`compile_for_engine`) and
+    The routed topology compiles once (the table's memoized compile) and
     every rate point reuses it; measurements stream lazily into
     :func:`assemble_curve`, which owns classification and early-stop
     truncation — a saturated prefix ends the sweep without simulating
     the remaining rates.
     """
-    compiled = compile_for_engine(engine, table)
-
     def measurements() -> Iterable[SimStats]:
         for rate in rates:
             yield run_point(
                 table, traffic, rate, warmup=warmup, measure=measure,
-                seed=seed, engine=engine, compiled=compiled, **sim_kw
+                seed=seed, engine=engine, **sim_kw
             )
 
     return assemble_curve(
@@ -246,7 +227,6 @@ def find_saturation(
     ever simulated twice within one search (the ``lo``/``hi`` endpoint
     probes included).
     """
-    compiled = compile_for_engine(engine, table)
     probes: Dict[float, SimStats] = {}
 
     def probe(rate: float) -> SimStats:
@@ -254,8 +234,7 @@ def find_saturation(
         if st is None:
             st = run_point(
                 table, traffic, rate, warmup=warmup, measure=measure,
-                seed=seed, engine=engine, compiled=compiled, faults=faults,
-                **sim_kw
+                seed=seed, engine=engine, faults=faults, **sim_kw
             )
             probes[rate] = st
         return st

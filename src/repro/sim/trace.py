@@ -1,6 +1,7 @@
 """Vectorized traffic traces: pre-generated injection event streams.
 
-The reference simulator's per-cycle generation makes one scalar
+The reference simulator's (the test-only oracle
+``tests/network_oracle.py``) per-cycle generation makes one scalar
 ``destination`` closure call and one scalar ``rng.random()`` size draw
 per packet — the RNG-bound work PR 2's engine identified as the sweep
 hot path's ceiling.  :class:`TraceStream` removes it: injection events

@@ -25,7 +25,7 @@ Python calls, and the fast closed-loop engine replays its draws from raw
 words.  The spec is required: a pattern without one is rejected at
 construction, so no consumer keeps a second, scalar generation path.
 The scalar ``dest_fn`` closure stays the definition the reference
-engine calls and the spec must match.
+oracle (``tests/network_oracle.py``) calls and the spec must match.
 """
 
 from __future__ import annotations

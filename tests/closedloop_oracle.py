@@ -3,7 +3,7 @@
 This is the closed-loop engine that :class:`repro.fullsys.fastloop.
 FastClosedLoopSimulator` replaced in production, kept as the A/B
 oracle (verbatim but for a build counter): a subclass of the reference
-:class:`~repro.sim.network.NetworkSimulator` that makes one scalar
+:class:`network_oracle.NetworkSimulator` that makes one scalar
 ``Generator`` call per demand, memory-fraction and destination draw,
 and steps the whole network every cycle.  The fast engine must give
 identical :class:`~repro.fullsys.closedloop.ClosedLoopStats`, window
@@ -18,6 +18,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import List, Optional
 
+from network_oracle import NetworkSimulator, Packet
 from repro.fullsys import speedup
 from repro.fullsys.closedloop import (
     _IN_NET,
@@ -33,8 +34,7 @@ from repro.fullsys.closedloop import (
     validate_closed_loop,
 )
 from repro.routing.tables import RoutingTable
-from repro.sim.network import NetworkSimulator
-from repro.sim.packet import CONTROL_FLITS, DATA_FLITS, Packet
+from repro.sim.packet import CONTROL_FLITS, DATA_FLITS
 from repro.sim.traffic import TrafficPattern
 
 

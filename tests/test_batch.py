@@ -8,7 +8,7 @@ across seed replicas, turbo vs the reference distribution, at
 exact p-values are pinned green).  The reference samples are per-point
 ``engine="fast"`` runs, which ``tests/test_fastnet.py`` pins
 bit-identical to the reference oracle; one anchor test here re-checks
-that chain directly against ``NetworkSimulator``.
+that chain directly against the oracle (``tests/network_oracle.py``).
 
 The KS gate covers stationary traffic plus the bursty (``mmpp``) and
 long-range-dependent (``lrd``) burst modulations, because turbo's
@@ -21,10 +21,10 @@ tasks, turbo points fused into batched lanes under per-point cache keys.
 
 import pytest
 
+from network_oracle import NetworkSimulator, register_reference
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import (
     ENGINES,
-    NetworkSimulator,
     TurboNetworkSimulator,
     latency_throughput_curve,
     resolve_engine,
@@ -99,18 +99,18 @@ class TestTurboKSValidation:
             assert lat.pvalue >= ALPHA, (gate, rate, "latency", lat.pvalue)
             assert thr.pvalue >= ALPHA, (gate, rate, "throughput", thr.pvalue)
 
-    def test_reference_anchor(self, table):
+    def test_reference_anchor(self, table, monkeypatch):
         """The KS reference leg (the fast engine) really is the reference
         distribution: fast == reference oracle, bit-for-bit."""
+        register_reference(monkeypatch)
         traffic = uniform_random(N)
+        built = NetworkSimulator.built
         a = run_point(table, traffic, 0.1, warmup=100, measure=250,
                       seed=0, engine="reference")
+        assert NetworkSimulator.built == built + 1
         b = run_point(table, traffic, 0.1, warmup=100, measure=250,
                       seed=0, engine="fast")
         assert a == b
-        assert isinstance(
-            NetworkSimulator(table, traffic, 0.1), NetworkSimulator
-        )
 
 
 # ---------------------------------------------------------------------------

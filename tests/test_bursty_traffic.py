@@ -3,7 +3,8 @@
 Covers the :mod:`repro.sim.burst` layer (spec validation, the CLI
 parser, gate-sequence determinism, stationary-mean normalization) and
 the engine-level contract: a bursty pattern runs bit-identically on the
-reference and fast engines, alone and combined with fault schedules.
+reference oracle (``tests/network_oracle.py``) and the fast engine,
+alone and combined with fault schedules.
 The vectorized-vs-scalar draw-order differential for bursty
 :class:`~repro.sim.trace.TraceStream` lives in
 ``tests/test_traffic_vectorized.py`` next to its stationary twin.
@@ -12,6 +13,7 @@ The vectorized-vs-scalar draw-order differential for bursty
 import numpy as np
 import pytest
 
+from network_oracle import NetworkSimulator
 from repro.experiments.registry import NDBT, routed_table
 from repro.faults import central_link_faults
 from repro.sim import (
@@ -20,7 +22,6 @@ from repro.sim import (
     BurstState,
     CompiledNetwork,
     FastNetworkSimulator,
-    NetworkSimulator,
     hotspot,
     parse_burst,
     uniform_random,
@@ -238,10 +239,10 @@ def test_unnormalized_gate_suppresses_offered_load():
     n = 16
     table = _table("Mesh", n)
     spec = BurstSpec(kind="mmpp", p_on=0.1, p_off=0.3, on_scale=1.0, seed=7)
-    plain = NetworkSimulator(
+    plain = FastNetworkSimulator(
         table, uniform_random(n), 0.08, seed=5
     ).run(0, 1000)
-    bursty = NetworkSimulator(
+    bursty = FastNetworkSimulator(
         table, uniform_random(n).with_burst(spec), 0.08, seed=5
     ).run(0, 1000)
     ratio = bursty.offered_packets / plain.offered_packets

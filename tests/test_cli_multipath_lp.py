@@ -127,6 +127,29 @@ class TestCLI:
             main(self.SIM + ["--engine", "turbo",
                              "--faults", "500:link_down:2-7"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--warmup", "-1"), ("--measure", "0"), ("--points", "0"),
+        ("--max-rate", "-0.1"), ("--max-rate", "0"), ("--engine", "reference"),
+    ])
+    def test_simulate_rejects_bad_values(self, flag, value, capsys):
+        """Out-of-range budgets are usage errors (exit 2), not a
+        ZeroDivisionError, an empty table or a negative-rate sweep."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "FoldedTorus", flag, value, "--no-cache"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--warmup", "-1"), ("--measure", "0"),
+    ])
+    def test_explore_rejects_bad_budgets(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--grids", "4x5", "--link-classes", "small",
+                  "--objectives", "latency", "--sa-steps", "100",
+                  "--no-cache", "--out-dir", "", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_ns_spec(self, capsys):
         assert main(["evaluate", "ns:latop:medium"]) == 0
         assert "avg hops" in capsys.readouterr().out

@@ -1,21 +1,29 @@
 """Differential suite: the fast engine must match the reference engine
-bit-for-bit, plus regression pins for the corrected throughput accounting
-and the ``find_saturation`` base-probe fix, plus the compiled-network
-reuse and trace chunk-boundary invariants."""
+(the oracle in ``tests/network_oracle.py``, registered as
+``engine="reference"`` for every test here) bit-for-bit, per-link flit
+counts included, plus regression pins for the corrected throughput
+accounting and the ``find_saturation`` base-probe fix, plus the
+compiled-network reuse and trace chunk-boundary invariants."""
 
 import numpy as np
 import pytest
 
+from network_oracle import (
+    InstrumentedSimulator,
+    NetworkSimulator,
+    register_reference,
+)
+from repro.faults import parse_faults
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import (
     ENGINES,
     CompiledNetwork,
     FastNetworkSimulator,
-    NetworkSimulator,
     bit_complement,
     find_saturation,
     hotspot,
     latency_throughput_curve,
+    measure_activity,
     memory_traffic,
     neighbor,
     resolve_engine,
@@ -26,6 +34,11 @@ from repro.sim import (
     uniform_random,
 )
 from repro.topology import LAYOUT_4X5, Layout, folded_torus, mesh
+
+
+@pytest.fixture(autouse=True)
+def reference_engine(monkeypatch):
+    register_reference(monkeypatch)
 
 
 def _table(layout, seed=0):
@@ -66,8 +79,16 @@ def _patterns(layout):
 
 class TestEngineRegistry:
     def test_engines_registered(self):
-        assert ENGINES["reference"] is NetworkSimulator
         assert ENGINES["fast"] is FastNetworkSimulator
+        assert resolve_engine("reference") is NetworkSimulator
+
+    def test_reference_is_test_only(self, monkeypatch):
+        """Production registers no oracle: without this module's
+        registration, ``engine="reference"`` is an unknown engine."""
+        monkeypatch.undo()
+        assert "reference" not in ENGINES
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine("reference")
 
     def test_resolve_engine_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -120,9 +141,11 @@ class TestDifferential4x5:
     def test_curves_identical(self, table_4x5):
         traffic = uniform_random(20)
         rates = [0.02, 0.1, 0.2, 0.3, 0.4]
+        built = NetworkSimulator.built
         a = latency_throughput_curve(table_4x5, traffic, rates,
                                      warmup=200, measure=500,
                                      engine="reference")
+        assert NetworkSimulator.built - built == len(a.points)
         b = latency_throughput_curve(table_4x5, traffic, rates,
                                      warmup=200, measure=500, engine="fast")
         assert len(a.points) == len(b.points)
@@ -150,6 +173,47 @@ class TestDifferential8x6:
             b = run_point(table_8x6, traffic, 0.12, warmup=150, measure=400,
                           seed=seed, engine="fast")
             assert a == b
+
+
+class TestLinkFlits:
+    """``FastNetworkSimulator.link_flits`` is the oracle's per-channel
+    flit count, link for link, and ``measure_activity`` is the oracle's
+    ``activity_factor()`` over the same whole-run window."""
+
+    BUDGET = dict(warmup=200, measure=600)
+
+    def _against_oracle(self, table, traffic, rate, **kw):
+        """Run both engines; return the fast link counts and the
+        oracle's instrumentation report, after checking they agree."""
+        ref = InstrumentedSimulator(table, traffic, rate, seed=0, **kw)
+        fast = FastNetworkSimulator(table, traffic, rate, seed=0, **kw)
+        assert fast.run(**self.BUDGET) == ref.run(**self.BUDGET)
+        report = ref.report()
+        assert fast.link_flits == [
+            report.channel_stats[ch].flits
+            for ch in table.topology.directed_links
+        ]
+        return fast.link_flits, report
+
+    @pytest.mark.parametrize("rate", [0.03, 0.1, 0.3])
+    @pytest.mark.parametrize("pattern", ["uniform", "memory"])
+    def test_matches_oracle(self, table_4x5, pattern, rate):
+        traffic = (
+            uniform_random(20) if pattern == "uniform"
+            else memory_traffic(LAYOUT_4X5)
+        )
+        _, report = self._against_oracle(table_4x5, traffic, rate)
+        assert measure_activity(
+            table_4x5, traffic, rate, seed=0, **self.BUDGET
+        ) == report.activity_factor()
+
+    def test_matches_oracle_across_fault_epochs(self, table_4x5):
+        traffic = uniform_random(20)
+        faults = parse_faults("300:link_down:2-7,700:link_up:2-7")
+        faulted, _ = self._against_oracle(table_4x5, traffic, 0.1,
+                                          faults=faults)
+        plain, _ = self._against_oracle(table_4x5, traffic, 0.1)
+        assert faulted != plain  # the outage re-routed traffic
 
 
 class TestFastEngineBehaviour:

@@ -7,18 +7,20 @@ Three layers, mirroring the contract in docs/ARCHITECTURE.md
   epoch expansion, serialization, the CLI parser, the centrality-based
   convenience constructors);
 * a parametrized differential matrix — topology x fault schedule x
-  traffic — asserting the fast engine reproduces the reference engine's
-  SimStats bit-exactly, ``lost_packets`` included, wherever the fast
-  path claims equivalence;
-* property/invariant tests where bit-exactness is not the claim:
-  survivor tables route exactly the live same-component pairs over live
-  fabric with acyclic per-VC CDGs (randomized schedules, many seeds),
-  packets are conserved across fault epochs, and delivered fraction is
-  monotone non-increasing as nested dead-link sets grow.
+  traffic — asserting the fast engine reproduces the reference oracle's
+  (``tests/network_oracle.py``) SimStats bit-exactly, ``lost_packets``
+  included, wherever the fast path claims equivalence;
+* property/invariant tests on the production fast engine, where
+  bit-exactness is not the claim: survivor tables route exactly the
+  live same-component pairs over live fabric with acyclic per-VC CDGs
+  (randomized schedules, many seeds), packets are conserved across
+  fault epochs, and delivered fraction is monotone non-increasing as
+  nested dead-link sets grow.
 """
 
 import pytest
 
+from network_oracle import NetworkSimulator
 from repro.experiments.registry import NDBT, routed_table
 from repro.faults import (
     FAULT_KINDS,
@@ -35,8 +37,8 @@ from repro.sim import (
     BurstSpec,
     CompiledNetwork,
     FastNetworkSimulator,
-    NetworkSimulator,
     hotspot,
+    resolve_engine,
     uniform_random,
 )
 from repro.topology import expert_topology
@@ -250,7 +252,12 @@ def test_closed_loop_hooks_without_retry_rejected():
 # Invariants: conservation, survivor tables, monotonicity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+#: The production open-loop engines that take fault schedules (turbo
+#: rejects them): the invariants below must hold on each.
+FAULT_ENGINES = ["fast"]
+
+
+@pytest.mark.parametrize("engine", FAULT_ENGINES)
 @pytest.mark.parametrize("sched_key", ["link-down", "router-down", "two-links"])
 def test_packet_conservation_across_epochs(engine, sched_key):
     """With measurement from cycle 0, every offered packet is ejected,
@@ -258,13 +265,7 @@ def test_packet_conservation_across_epochs(engine, sched_key):
     table = _table("Mesh", 16)
     sched = _schedules(table.topology)[sched_key]
     pat = uniform_random(16)
-    if engine == "reference":
-        sim = NetworkSimulator(table, pat, 0.08, seed=11, faults=sched)
-    else:
-        sim = FastNetworkSimulator(
-            table, pat, 0.08, seed=11,
-            compiled=CompiledNetwork.for_table(table), faults=sched,
-        )
+    sim = resolve_engine(engine)(table, pat, 0.08, seed=11, faults=sched)
     stats = sim.run(0, 400)
     if sched_key == "router-down":
         # generation attempts at the dead router are offered-and-lost, so
@@ -364,7 +365,7 @@ def test_survivor_table_of_disconnected_fabric_is_empty():
     assert _live_reachable_pairs(topo, dead, frozenset()) == set(st.flow_vc)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", FAULT_ENGINES)
 def test_delivered_fraction_monotone_in_dead_links(engine):
     """Nested dead-link sets: killing strictly more links never delivers
     a larger fraction of the offered load.
@@ -382,19 +383,13 @@ def test_delivered_fraction_monotone_in_dead_links(engine):
     victim = int(min(range(topo.n), key=lambda i: (-int(deg[i]), i)))
     links = sorted(p for p in _duplex_pairs(topo) if victim in p)
     pat = uniform_random(16)
-    compiled = CompiledNetwork.for_table(table)
     fractions = []
     for k in range(len(links) + 1):
         sched = (
             FaultSchedule.link_outage(links[:k], down_cycle=0)
             if k else FaultSchedule()
         )
-        if engine == "reference":
-            sim = NetworkSimulator(table, pat, 0.05, seed=3, faults=sched)
-        else:
-            sim = FastNetworkSimulator(
-                table, pat, 0.05, seed=3, compiled=compiled, faults=sched,
-            )
+        sim = resolve_engine(engine)(table, pat, 0.05, seed=3, faults=sched)
         fractions.append(sim.run(0, 500).delivered_fraction)
     assert fractions[-1] < 0.95  # the fully-severed set visibly loses
     for lo, hi in zip(fractions[1:], fractions):

@@ -20,7 +20,7 @@ from repro.routing import (
     is_acyclic,
     single_shortest_paths,
 )
-from repro.sim import NetworkSimulator, uniform_random
+from repro.sim import FastNetworkSimulator, uniform_random
 from repro.topology import (
     Layout,
     Topology,
@@ -105,7 +105,7 @@ def test_simulation_packet_conservation(t, seed):
     routes = single_shortest_paths(t, seed=0)
     vca = assign_vcs(routes, max_vcs=10, seed=0)
     table = build_routing_table(routes, vca)
-    sim = NetworkSimulator(table, uniform_random(t.n), 0.08, seed=seed)
+    sim = FastNetworkSimulator(table, uniform_random(t.n), 0.08, seed=seed)
     sim.run(100, 300)
     sim.rate = 0.0
     for _ in range(5000):

@@ -148,6 +148,12 @@ def test_task_keys_match_golden_digests(golden_tables, name):
     assert keys == GOLDEN_KEYS[name]
 
 
+def test_every_task_family_has_a_version():
+    """Each family keys its cache entries with its own version, so a
+    bump orphans only that family's entries."""
+    assert set(runner_tasks.TASK_VERSIONS) == set(runner_tasks.TASK_FUNCTIONS)
+
+
 def test_table_docs_are_canonical_by_construction(golden_tables):
     """Walking a plain copy of a table doc gives the doc itself, so
     skipping the walk cannot change a key (``tests/hashing_oracle.py``

@@ -10,7 +10,7 @@ from repro.sim import (
     CONTROL_FLITS,
     DATA_FLITS,
     MEAN_FLITS_PER_PACKET,
-    NetworkSimulator,
+    FastNetworkSimulator,
     find_saturation,
     latency_throughput_curve,
     memory_traffic,
@@ -73,7 +73,7 @@ class TestBasicSimulation:
     def test_packet_conservation(self, ft_table):
         """No packet is created or destroyed: in_flight accounts for all
         injected minus ejected."""
-        sim = NetworkSimulator(ft_table, uniform_random(20), 0.05, seed=1)
+        sim = FastNetworkSimulator(ft_table, uniform_random(20), 0.05, seed=1)
         sim.run(200, 800)
         total_created = sim._pid
         assert sim.in_flight >= 0

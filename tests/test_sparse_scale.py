@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import apsp_oracle
+from network_oracle import NetworkSimulator
 from repro.core import apsp, search
 from repro.core.apsp import IncrementalAPSP, full_apsp
 from repro.core.netsmith import NetSmithConfig
@@ -39,7 +40,7 @@ from repro.routing.dest_tree import bfs_dest_table, layer_destinations
 from repro.routing.tables import CSRRoutingTable
 from repro.runner import tasks as _tasks
 from repro.runner.cache import MISS, COMPRESS_THRESHOLD, ResultCache
-from repro.sim import FastNetworkSimulator, NetworkSimulator, uniform_random
+from repro.sim import FastNetworkSimulator, uniform_random
 from repro.topology import Layout, Topology
 
 
