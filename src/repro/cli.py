@@ -268,7 +268,6 @@ def cmd_simulate(args) -> int:
     from .experiments.registry import routed_table
 
     topo = _load_or_named(args.topology, args.routers)
-    table = routed_table(topo, args.policy, seed=args.seed, use_cache=False)
     spec = _traffic_spec(args, topo)
     if args.burst:
         from .sim import parse_burst
@@ -295,26 +294,29 @@ def cmd_simulate(args) -> int:
     runner = _make_runner(args)
     from .runner import CurveJob, QuarantineError
 
-    n_seeds = max(1, args.seeds)
-    seeds = [args.seed + k for k in range(n_seeds)]
-    jobs = [
-        CurveJob(
-            table=table, traffic=spec, rates=tuple(rates),
-            name=table.topology.name,
-            link_class=args.link_class or topo.link_class,
-            warmup=args.warmup, measure=args.measure, seed=seed,
-            faults=faults,
-        )
-        for seed in seeds
-    ]
+    seeds = [args.seed + k for k in range(args.seeds)]
     try:
+        # Routing is a runner task: cached, and quarantined on failure.
+        table = routed_table(
+            topo, args.policy, seed=args.seed, use_cache=False, runner=runner,
+        )
+        jobs = [
+            CurveJob(
+                table=table, traffic=spec, rates=tuple(rates),
+                name=table.topology.name,
+                link_class=args.link_class or topo.link_class,
+                warmup=args.warmup, measure=args.measure, seed=seed,
+                faults=faults,
+            )
+            for seed in seeds
+        ]
         curves = dict(zip(seeds, runner.curves(jobs)))
     except QuarantineError as exc:
         _report_quarantine(runner, exc)
         _print_health(runner, args)
         return 2
     curve = curves[seeds[0]]
-    if n_seeds > 1:
+    if args.seeds > 1:
         from .sim import summarize_replicas
 
         print(f"{'offered':>8} {'latency(cyc)':>21} {'accepted':>19} {'n':>3}")
@@ -329,7 +331,7 @@ def cmd_simulate(args) -> int:
         mean_sat = sum(sats) / len(sats)
         spread = max(sats) - min(sats)
         print(f"saturation throughput: {mean_sat:.3f} packets/node/ns "
-              f"(spread {spread:.3f} over {n_seeds} seeds) "
+              f"(spread {spread:.3f} over {args.seeds} seeds) "
               f"@ {curve.clock_ghz} GHz")
     else:
         print(f"{'offered':>8} {'latency(cyc)':>13} {'accepted':>9} {'saturated':>9}")
@@ -553,7 +555,7 @@ def cmd_report(args) -> int:
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     """The shared runner/cache surface (see docs/CLI.md)."""
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
+        "--parallel", type=_int_at_least(0), default=1, metavar="N",
         help="worker processes for independent sim points "
              "(1 = serial, 0 = all cores); results are identical either way",
     )
@@ -576,13 +578,13 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
              "ignore it",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SEC",
+        "--task-timeout", type=_positive_float, default=None, metavar="SEC",
         help="wall-clock budget per task attempt; a task past it is "
              "treated as hung — the worker pool restarts and the task "
              "retries (default: unbounded)",
     )
     parser.add_argument(
-        "--task-retries", type=int, default=None, metavar="N",
+        "--task-retries", type=_int_at_least(0), default=None, metavar="N",
         help="retry budget per task for transient failures, timeouts, "
              "and worker crashes; a payload that exhausts it is "
              "quarantined with a failure artifact and the run exits "
@@ -655,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--warmup", type=_int_at_least(0), default=300)
     s.add_argument("--measure", type=_int_at_least(1), default=1200)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--seeds", type=int, default=1, metavar="N",
+    s.add_argument("--seeds", type=_int_at_least(1), default=1, metavar="N",
                    help="seed replicas per rate (seeds SEED..SEED+N-1), "
                         "printed as mean +- 95%% CI per rate; every "
                         "replica is an independent run of --engine "
@@ -699,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "MIP-start surface) or bnb (in-repo branch-and-"
                          "bound; portfolio seeds its initial incumbent "
                          "from the SA result)")
-    ex.add_argument("--seeds", type=int, default=1,
+    ex.add_argument("--seeds", type=_int_at_least(1), default=1,
                     help="number of generation seeds per configuration")
     ex.add_argument("--radix", type=int, default=4)
     ex.add_argument("--diameter", type=int, default=None)
@@ -726,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "--sim-cutoff 0)")
     ex.add_argument("--warmup", type=_int_at_least(0), default=250)
     ex.add_argument("--measure", type=_int_at_least(1), default=800)
-    ex.add_argument("--iters", type=int, default=5,
+    ex.add_argument("--iters", type=_int_at_least(1), default=5,
                     help="saturation binary-search iterations")
     ex.add_argument("--rank-by",
                     choices=("saturation", "hops", "cut", "robustness"),

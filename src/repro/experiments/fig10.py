@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.pregenerated import netsmith_topology
-from ..sim import SweepResult, latency_throughput_curve, shuffle_pattern
+from ..sim import SweepResult
 from ..topology import standard_layout
 from .registry import MCLB, Entry, roster, routed_entry, routed_table
 
@@ -50,60 +50,43 @@ def fig10_curves(
     engine: Optional[str] = None,
 ) -> Fig10Result:
     """``engine`` pins the simulation engine ("fast"/"turbo");
-    ``None`` uses the runner's default (or "fast" serially).  Either
-    way each routed topology compiles once and its sweep is trace-fed."""
+    ``None`` uses the runner's default.  Each routed topology compiles
+    once and its sweep is trace-fed."""
+    from ..runner import CurveJob, TrafficSpec, ensure_runner
+
     layout = standard_layout(n_routers)
     rates = tuple(rates or DEFAULT_RATES)
     cast = []
-    for cls in link_classes:
-        entries = roster(
-            cls, n_routers, include_lpbt=False,
-            allow_generate=allow_generate, runner=runner,
-        )
-        try:
-            entries.append(
-                Entry(
-                    netsmith_topology(
-                        "shufopt", cls, n_routers, allow_generate, runner=runner
-                    ),
-                    MCLB,
-                )
+    with ensure_runner(runner) as runner:
+        for cls in link_classes:
+            entries = roster(
+                cls, n_routers, include_lpbt=False,
+                allow_generate=allow_generate, runner=runner,
             )
-        except KeyError:
-            pass
-        cast.extend(
-            (cls, entry, routed_entry(entry, seed=seed, runner=runner))
-            for entry in entries
-        )
-
-    curves: Dict[str, SweepResult] = {}
-    if runner is not None:
-        from ..runner import CurveJob, TrafficSpec
-
-        jobs = [
+            try:
+                entries.append(
+                    Entry(
+                        netsmith_topology(
+                            "shufopt", cls, n_routers, allow_generate,
+                            runner=runner,
+                        ),
+                        MCLB,
+                    )
+                )
+            except KeyError:
+                pass
+            cast.extend(
+                (cls, entry, routed_entry(entry, seed=seed, runner=runner))
+                for entry in entries
+            )
+        curves = runner.curves([
             CurveJob(
                 table=table, traffic=TrafficSpec.shuffle(layout.n), rates=rates,
                 name=entry.name, link_class=cls,
                 warmup=warmup, measure=measure, seed=seed, engine=engine,
             )
             for cls, entry, table in cast
-        ]
-        for (cls, entry, _), curve in zip(cast, runner.curves(jobs)):
-            curves[entry.name] = curve
-    else:
-        from ..sim.fastnet import DEFAULT_ENGINE
-
-        traffic = shuffle_pattern(layout.n)
-        for cls, entry, table in cast:
-            curves[entry.name] = latency_throughput_curve(
-                table,
-                traffic,
-                rates,
-                name=entry.name,
-                link_class=cls,
-                warmup=warmup,
-                measure=measure,
-                seed=seed,
-                engine=engine or DEFAULT_ENGINE,
-            )
-    return Fig10Result(curves=curves)
+        ])
+    return Fig10Result(
+        curves={entry.name: c for (_, entry, _), c in zip(cast, curves)},
+    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..sim import find_saturation, uniform_random
 from ..topology import standard_layout
 from ..topology.layout import CLASS_CLOCK_GHZ
 from .registry import roster, routed_entry
@@ -60,47 +59,36 @@ def fig11_points(
     runner: Optional["Runner"] = None,
     engine: Optional[str] = None,
 ) -> Fig11Result:
-    """With a runner, each topology's whole saturation binary search is
-    one task, fanned across workers and cached.  ``engine`` pins the
+    """Each topology's whole saturation binary search is one runner
+    task, fanned across workers and cached.  ``engine`` pins the
     simulation engine ("fast"/"turbo"); ``None`` uses the runner's
-    default (or "fast" serially).  Every search's probes share one
-    compiled network and are memoized by rate."""
+    default.  Every search's probes share one compiled network and are
+    memoized by rate."""
+    from ..runner import SaturationJob, TrafficSpec, ensure_runner
+
     layout = standard_layout(n_routers)
     cast = []
-    for cls in link_classes:
-        for entry in roster(
-            cls, n_routers, include_lpbt=False, include_scop=False,
-            allow_generate=allow_generate, runner=runner,
-        ):
-            if entry.name == "Kite-Large" and n_routers == 48:
-                continue  # the paper could not scale Kite-Large to 8x6
-            if entry.name not in SCALABLE:
-                continue
-            cast.append((cls, entry, routed_entry(entry, seed=seed, runner=runner)))
-
-    if runner is not None:
-        from ..runner import SaturationJob, TrafficSpec
-
-        jobs = [
+    with ensure_runner(runner) as runner:
+        for cls in link_classes:
+            for entry in roster(
+                cls, n_routers, include_lpbt=False, include_scop=False,
+                allow_generate=allow_generate, runner=runner,
+            ):
+                if entry.name == "Kite-Large" and n_routers == 48:
+                    continue  # the paper could not scale Kite-Large to 8x6
+                if entry.name not in SCALABLE:
+                    continue
+                cast.append(
+                    (cls, entry, routed_entry(entry, seed=seed, runner=runner))
+                )
+        sats = runner.saturations([
             SaturationJob(
                 table=table, traffic=TrafficSpec.uniform(layout.n),
                 name=entry.name, warmup=warmup, measure=measure, seed=seed,
                 engine=engine,
             )
             for cls, entry, table in cast
-        ]
-        sats = runner.saturations(jobs)
-    else:
-        from ..sim.fastnet import DEFAULT_ENGINE
-
-        traffic = uniform_random(layout.n)
-        sats = [
-            find_saturation(
-                table, traffic, warmup=warmup, measure=measure, seed=seed,
-                engine=engine or DEFAULT_ENGINE,
-            )
-            for cls, entry, table in cast
-        ]
+        ])
     points = [
         Fig11Point(
             name=entry.name,

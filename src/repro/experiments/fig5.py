@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.netsmith import NetSmithConfig
-from ..core.progress import GapCurve, record_progress_bnb, record_progress_scipy
+from ..core.progress import GapCurve
 from ..topology import LAYOUT_4X5, Layout
 
 if TYPE_CHECKING:
@@ -53,11 +53,13 @@ def fig5_curves(
     """Gap-vs-time curves per link class.
 
     Default is a reduced 3x4 instance so the benchmark finishes in
-    seconds; ``full_scale=True`` uses the paper's 4x5 (minutes).  With a
-    :class:`~repro.runner.Runner` each recording is one cached
-    ``gap_curve`` task: the per-class solves fan across workers, and a
-    rerun (or the report) replays the curves without re-solving.
+    seconds; ``full_scale=True`` uses the paper's 4x5 (minutes).  Each
+    recording is one cached ``gap_curve`` task: the per-class solves
+    fan across the runner's workers, and a rerun (or the report)
+    replays the curves without re-solving.
     """
+    from ..runner import ensure_runner, tasks as runner_tasks
+
     if layout is None:
         layout = LAYOUT_4X5 if full_scale else Layout(rows=3, cols=4)
     labels = [f"{cls}" for cls in link_classes]
@@ -65,26 +67,14 @@ def fig5_curves(
         NetSmithConfig(layout=layout, link_class=cls, diameter_bound=diameter_bound)
         for cls in link_classes
     ]
-    # One ladder formula for both paths, so cached-task and inline
-    # recordings stay equivalent.
     ladder = (time_limit / 8, time_limit / 4, time_limit / 2, time_limit)
-    if runner is not None:
-        from ..runner import tasks as runner_tasks
-
-        payloads = [
-            runner_tasks.gap_curve_payload(
-                cfg, time_limit, label, mode=backend,
-                time_points=None if backend == "bnb" else ladder,
-            )
-            for cfg, label in zip(configs, labels)
-        ]
+    payloads = [
+        runner_tasks.gap_curve_payload(
+            cfg, time_limit, label, mode=backend,
+            time_points=None if backend == "bnb" else ladder,
+        )
+        for cfg, label in zip(configs, labels)
+    ]
+    with ensure_runner(runner) as runner:
         recorded = runner.run_tasks("gap_curve", payloads)
-        return Fig5Result(curves=dict(zip(labels, recorded)))
-
-    curves: Dict[str, GapCurve] = {}
-    for cfg, label in zip(configs, labels):
-        if backend == "bnb":
-            curves[label] = record_progress_bnb(cfg, time_limit=time_limit, label=label)
-        else:
-            curves[label] = record_progress_scipy(cfg, time_points=ladder, label=label)
-    return Fig5Result(curves=curves)
+    return Fig5Result(curves=dict(zip(labels, recorded)))

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import SweepResult, latency_throughput_curve
+from ..sim import SweepResult
 from ..topology import standard_layout
 from .registry import roster, routed_entry
 
@@ -57,14 +57,13 @@ def fig6_curves(
     runner: Optional["Runner"] = None,
     engine: Optional[str] = None,
 ) -> Fig6Result:
-    """With a :class:`~repro.runner.Runner`, every (topology, rate) sim
-    point fans out across workers and lands in the result cache; without
-    one, the original serial sweep runs.  Curves are identical either
-    way.  ``engine`` pins the simulation engine ("fast"/"turbo");
-    ``None`` uses the runner's default (or "fast" serially).  Each
-    routed topology compiles once per curve (per worker, when fanned
-    out) and traffic is pre-generated as vectorized traces."""
-    from ..runner import TrafficSpec
+    """Every (topology, rate) sim point fans out across the runner's
+    workers and lands in its result cache.  ``engine`` pins the
+    simulation engine ("fast"/"turbo"); ``None`` uses the runner's
+    default.  Each routed topology compiles once per curve (per worker,
+    when fanned out) and traffic is pre-generated as vectorized
+    traces."""
+    from ..runner import CurveJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
     if traffic_kind == "coherence":
@@ -76,17 +75,14 @@ def fig6_curves(
     else:
         raise ValueError(f"traffic_kind must be coherence/memory, got {traffic_kind!r}")
 
-    cast = [
-        (cls, entry, routed_entry(entry, seed=seed, runner=runner))
-        for cls in link_classes
-        for entry in roster(
-            cls, n_routers, allow_generate=allow_generate, runner=runner,
-        )
-    ]
-    curves: Dict[str, SweepResult] = {}
-    if runner is not None:
-        from ..runner import CurveJob
-
+    with ensure_runner(runner) as runner:
+        cast = [
+            (cls, entry, routed_entry(entry, seed=seed, runner=runner))
+            for cls in link_classes
+            for entry in roster(
+                cls, n_routers, allow_generate=allow_generate, runner=runner,
+            )
+        ]
         jobs = [
             CurveJob(
                 table=table, traffic=spec, rates=rates, name=entry.name,
@@ -95,22 +91,8 @@ def fig6_curves(
             )
             for cls, entry, table in cast
         ]
-        for (cls, entry, _), curve in zip(cast, runner.curves(jobs)):
-            curves[entry.name] = curve
-    else:
-        from ..sim.fastnet import DEFAULT_ENGINE
-
-        traffic = spec.build()
-        for cls, entry, table in cast:
-            curves[entry.name] = latency_throughput_curve(
-                table,
-                traffic,
-                rates,
-                name=entry.name,
-                link_class=cls,
-                warmup=warmup,
-                measure=measure,
-                seed=seed,
-                engine=engine or DEFAULT_ENGINE,
-            )
-    return Fig6Result(traffic=traffic_kind, curves=curves)
+        curves = runner.curves(jobs)
+    return Fig6Result(
+        traffic=traffic_kind,
+        curves={entry.name: c for (_, entry, _), c in zip(cast, curves)},
+    )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..routing import throughput_bounds
 from ..routing.paths import PathSet
-from ..sim import MEAN_FLITS_PER_PACKET, find_saturation, uniform_random
+from ..sim import MEAN_FLITS_PER_PACKET
 from ..topology import standard_layout
 from .registry import MCLB, NDBT, Entry, roster, routed_table
 
@@ -52,43 +52,37 @@ def fig7_bars(
     allow_generate: bool = True,
     runner: Optional["Runner"] = None,
 ) -> List[Fig7Bar]:
+    from ..runner import SaturationJob, TrafficSpec, ensure_runner
+
     layout = standard_layout(n_routers)
     cast = []
-    for entry in roster(
-        link_class, n_routers, include_lpbt=False,
-        allow_generate=allow_generate, runner=runner,
-    ):
-        for policy in (NDBT, MCLB):
-            if entry.name.startswith("NS-") and policy == NDBT:
-                continue  # paper: NetSmith employs MCLB routing only
-            table = routed_table(entry.topology, policy, seed=seed, runner=runner)
-            paths = {}
-            for s in range(layout.n):
-                for d in range(layout.n):
-                    if s != d:
-                        paths[(s, d)] = [table.route_of(s, d)]
-            routes = PathSet(topology=entry.topology, paths=paths)
-            bounds = throughput_bounds(entry.topology, routes)
-            cast.append((entry, policy, table, bounds))
-
-    if runner is not None:
-        from ..runner import SaturationJob, TrafficSpec
-
-        jobs = [
+    with ensure_runner(runner) as runner:
+        for entry in roster(
+            link_class, n_routers, include_lpbt=False,
+            allow_generate=allow_generate, runner=runner,
+        ):
+            for policy in (NDBT, MCLB):
+                if entry.name.startswith("NS-") and policy == NDBT:
+                    continue  # paper: NetSmith employs MCLB routing only
+                table = routed_table(
+                    entry.topology, policy, seed=seed, runner=runner
+                )
+                paths = {}
+                for s in range(layout.n):
+                    for d in range(layout.n):
+                        if s != d:
+                            paths[(s, d)] = [table.route_of(s, d)]
+                routes = PathSet(topology=entry.topology, paths=paths)
+                bounds = throughput_bounds(entry.topology, routes)
+                cast.append((entry, policy, table, bounds))
+        sats = runner.saturations([
             SaturationJob(
                 table=table, traffic=TrafficSpec.uniform(layout.n),
                 name=f"{entry.name}/{policy}",
                 warmup=warmup, measure=measure, seed=seed,
             )
             for entry, policy, table, _ in cast
-        ]
-        sats = runner.saturations(jobs)
-    else:
-        traffic = uniform_random(layout.n)
-        sats = [
-            find_saturation(table, traffic, warmup=warmup, measure=measure, seed=seed)
-            for _, _, table, _ in cast
-        ]
+        ])
     return [
         Fig7Bar(
             topology=entry.name,

@@ -56,35 +56,36 @@ def fig8_results(
     max_entries_per_class: Optional[int] = None,
     runner: Optional["Runner"] = None,
 ) -> Fig8Result:
-    """With a :class:`~repro.runner.Runner`, every (benchmark, topology)
-    closed-loop run fans out across workers and lands in the result
-    cache; without one, the serial sweep runs.  Rows are identical
-    either way."""
-    mesh_table = routed_table(
-        expert_topology("Mesh", n_routers), NDBT, seed=seed, runner=runner
-    )
-    tables: Dict[str, RoutingTable] = {}
-    for cls in link_classes:
-        entries = roster(
-            cls, n_routers, include_lpbt=False,
-            allow_generate=allow_generate, runner=runner,
+    """Every (benchmark, topology) closed-loop run fans out across the
+    runner's workers and lands in its result cache."""
+    from ..runner import ensure_runner
+
+    with ensure_runner(runner) as runner:
+        mesh_table = routed_table(
+            expert_topology("Mesh", n_routers), NDBT, seed=seed, runner=runner
         )
-        if max_entries_per_class is not None:
-            # keep the best expert (Kite) and the NetSmith entries
-            entries = [
-                e
-                for e in entries
-                if e.name.startswith(("NS-", "Kite", "FoldedTorus"))
-            ][:max_entries_per_class]
-        for e in entries:
-            tables[e.name] = routed_entry(e, seed=seed, runner=runner)
-    rows = parsec_sweep(
-        tables,
-        mesh_table,
-        workloads=workloads or PARSEC,
-        seed=seed,
-        warmup=warmup,
-        measure=measure,
-        runner=runner,
-    )
+        tables: Dict[str, RoutingTable] = {}
+        for cls in link_classes:
+            entries = roster(
+                cls, n_routers, include_lpbt=False,
+                allow_generate=allow_generate, runner=runner,
+            )
+            if max_entries_per_class is not None:
+                # keep the best expert (Kite) and the NetSmith entries
+                entries = [
+                    e
+                    for e in entries
+                    if e.name.startswith(("NS-", "Kite", "FoldedTorus"))
+                ][:max_entries_per_class]
+            for e in entries:
+                tables[e.name] = routed_entry(e, seed=seed, runner=runner)
+        rows = parsec_sweep(
+            tables,
+            mesh_table,
+            workloads=workloads or PARSEC,
+            seed=seed,
+            warmup=warmup,
+            measure=measure,
+            runner=runner,
+        )
     return Fig8Result(rows=rows, geomean=geomean_speedups(rows))

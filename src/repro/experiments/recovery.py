@@ -34,7 +34,7 @@ from ..faults import (
 from ..fullsys.closedloop import RetryPolicy
 from ..fullsys.workloads import workload
 from ..runner.hashing import config_hash
-from ..runner.orchestrator import RecoveryJob, Runner
+from ..runner.orchestrator import RecoveryJob, Runner, ensure_runner
 from ..sim.stats import RecoveryMetrics, WindowSample, recovery_metrics
 from ..topology import expert_topology
 from .registry import NDBT, routed_table
@@ -220,36 +220,31 @@ def recovery_grid(
     derive client-side from the cached window series, so ``tolerance``
     re-analysis never re-simulates.
     """
-    if runner is None:
-        with Runner(parallel=1) as ephemeral:
-            return recovery_grid(
-                topologies, workloads, n_routers, ephemeral, fast,
-                out_dir, retry, tolerance, seed,
-            )
     retry = retry or DEFAULT_RETRY
 
     total, window = (1400, 50) if fast else (2400, 50)
     down, up = DOWN_CYCLE, UP_CYCLE
 
-    tables = [
-        routed_table(expert_topology(name, n_routers), NDBT, runner=runner)
-        for name in topologies
-    ]
-    profiles = [workload(w) for w in workloads]
+    with ensure_runner(runner) as runner:
+        tables = [
+            routed_table(expert_topology(name, n_routers), NDBT, runner=runner)
+            for name in topologies
+        ]
+        profiles = [workload(w) for w in workloads]
 
-    jobs: List[RecoveryJob] = []
-    grid: List[Tuple[Any, Any, str, FaultSchedule]] = []
-    for table in tables:
-        topo = table.topology
-        for profile in profiles:
-            for s_label, schedule in _scenario_axis(topo, down, up):
-                grid.append((table, profile, s_label, schedule))
-                jobs.append(RecoveryJob(
-                    table=table, workload=profile, faults=schedule,
-                    retry=retry, total=total, window=window,
-                    seed=seed,
-                ))
-    window_series: List[List[WindowSample]] = runner.recoveries(jobs)
+        jobs: List[RecoveryJob] = []
+        grid: List[Tuple[Any, Any, str, FaultSchedule]] = []
+        for table in tables:
+            topo = table.topology
+            for profile in profiles:
+                for s_label, schedule in _scenario_axis(topo, down, up):
+                    grid.append((table, profile, s_label, schedule))
+                    jobs.append(RecoveryJob(
+                        table=table, workload=profile, faults=schedule,
+                        retry=retry, total=total, window=window,
+                        seed=seed,
+                    ))
+        window_series: List[List[WindowSample]] = runner.recoveries(jobs)
 
     cells: List[RecoveryCell] = []
     for (table, profile, s_label, schedule), samples in zip(

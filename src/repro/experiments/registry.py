@@ -155,18 +155,18 @@ def routed_table(
     20/30-router configuration; irregular 48-router networks with MCLB's
     unconstrained shortest paths can need a few more.
 
-    Compilation is one ``routing`` pipeline task — run inline here when
-    no runner is given, or through the :class:`repro.runner.Runner`
-    (and therefore the content-addressed disk cache and worker pool)
-    when one is: MCLB's LP solve is seconds per topology, and (unlike a
-    fresh solve) a cached table is identical across runs of the same
-    configuration.  ``time_limit`` and ``max_vcs`` are part of that
-    configuration — both the in-process memo and the disk key include
-    them, so changing a budget recomputes rather than serving a table
-    produced under a different one.
+    Compilation is one ``routing`` pipeline task through the runner —
+    and therefore its content-addressed disk cache and worker pool:
+    MCLB's LP solve is seconds per topology, and (unlike a fresh solve)
+    a cached table is identical across runs of the same configuration.
+    ``time_limit`` and ``max_vcs`` are part of that configuration — both
+    the in-process memo and the disk key include them, so changing a
+    budget recomputes rather than serving a table produced under a
+    different one.
     """
     if policy not in (NDBT, MCLB, RANDOM_SP):
         raise ValueError(f"unknown routing policy {policy!r}")
+    from ..runner import RoutingJob, ensure_runner
     from ..runner.tasks import default_max_vcs
 
     if max_vcs is None:
@@ -175,21 +175,12 @@ def routed_table(
     if use_cache and key in _table_cache:
         return _table_cache[key]
 
-    from ..runner import RoutingJob, decode_table, tasks as runner_tasks
-
     job = RoutingJob(
         topology=topo, policy=policy, seed=seed,
         max_vcs=max_vcs, time_limit=time_limit,
     )
-    if runner is not None:
+    with ensure_runner(runner) as runner:
         table = runner.tables([job])[0]
-    else:
-        table = decode_table(runner_tasks.routing_task(
-            runner_tasks.routing_payload(topo, policy, seed, max_vcs, time_limit)
-        ))
-        table.topology.name = topo.name
-        table.topology.link_class = topo.link_class
-
     if use_cache:
         _table_cache[key] = table
     return table
@@ -204,24 +195,26 @@ def routed_entries(
 ) -> List[RoutingTable]:
     """Compile a whole roster's tables at once.
 
-    With a runner the MCLB/NDBT compilations fan across workers as
-    ``routing`` tasks (and cache); without one this is the serial loop.
-    The in-process memo is shared with :func:`routed_table` either way.
+    Tables missing from the in-process memo (shared with
+    :func:`routed_table`) compile as one batch of ``routing`` tasks,
+    fanned across the runner's workers and cached; a roster the memo
+    already holds builds no runner.
     """
     missing = [
         e for e in entries
         if _memo_key(e.topology, e.policy, seed) not in _table_cache
     ]
-    if runner is not None and len(missing) > 1:
-        from ..runner import RoutingJob
+    if missing:
+        from ..runner import RoutingJob, ensure_runner
 
-        tables = runner.tables([
-            RoutingJob(topology=e.topology, policy=e.policy, seed=seed)
-            for e in missing
-        ])
+        with ensure_runner(runner) as runner:
+            tables = runner.tables([
+                RoutingJob(topology=e.topology, policy=e.policy, seed=seed)
+                for e in missing
+            ])
         for e, table in zip(missing, tables):
             _table_cache[_memo_key(e.topology, e.policy, seed)] = table
-    return [routed_entry(e, seed=seed, runner=runner) for e in entries]
+    return [routed_entry(e, seed=seed) for e in entries]
 
 
 # ---------------------------------------------------------------------------

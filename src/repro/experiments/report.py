@@ -23,13 +23,20 @@ if TYPE_CHECKING:
 
 
 def generate_report(fast: bool = True, runner: Optional["Runner"] = None) -> str:
-    """Render the full report; a :class:`~repro.runner.Runner` fans the
+    """Render the full report through one runner: it fans the
     simulation-heavy sections (Figs. 6, 7, and 8) across workers, the
     generation-heavy sections (Table II, Figs. 1 and 9) through the
     pipeline's cached ``generation``/``routing`` stages, and caches
     every sim point and closed-loop run, making regeneration
     incremental — a report rerun never re-solves a MILP, re-routes a
     topology, or re-anneals a design it has already produced."""
+    from ..runner import ensure_runner
+
+    with ensure_runner(runner) as runner:
+        return _render(fast, runner)
+
+
+def _render(fast: bool, runner: "Runner") -> str:
     out = io.StringIO()
     w = out.write
 

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..faults import FaultSchedule, central_link_faults, central_router_fault
 from ..runner import tasks as _tasks
 from ..runner.hashing import config_hash
-from ..runner.orchestrator import Runner, SaturationJob
+from ..runner.orchestrator import Runner, SaturationJob, ensure_runner
 from ..sim.burst import BurstSpec
 from ..topology import expert_topology
 from .registry import NDBT, routed_table
@@ -213,71 +213,65 @@ def robustness_grid(
     measurement window, so the loss number includes packets stranded by
     the epoch swap itself.  All legs batch through one runner.
     """
-    if runner is None:
-        with Runner(parallel=1) as ephemeral:
-            return robustness_grid(
-                topologies, n_routers, ephemeral, fast,
-                out_dir, probe_fraction, seed, engine,
-            )
-
     warmup, measure, iters = (200, 600, 5) if fast else (400, 1600, 7)
     probe_warmup, probe_measure = (200, 800) if fast else (400, 1600)
     probe_cycle = probe_warmup + probe_measure // 3
 
-    tables = [
-        routed_table(expert_topology(name, n_routers), NDBT, runner=runner)
-        for name in topologies
-    ]
+    with ensure_runner(runner) as runner:
+        tables = [
+            routed_table(expert_topology(name, n_routers), NDBT, runner=runner)
+            for name in topologies
+        ]
 
-    # One saturation batch: every (topology, traffic) baseline followed by
-    # every (topology, fault, traffic) degraded search.
-    base_jobs: List[SaturationJob] = []
-    base_index: Dict[Tuple[str, str], int] = {}
-    deg_jobs: List[SaturationJob] = []
-    grid: List[Tuple[Any, str, FaultSchedule, str, _tasks.TrafficSpec]] = []
-    for table in tables:
-        topo = table.topology
-        for t_label, spec in _traffic_axis(topo):
-            base_index[(topo.name, t_label)] = len(base_jobs)
-            base_jobs.append(SaturationJob(
-                table=table, traffic=spec,
-                name=f"{topo.name}/{t_label}",
-                lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
-                warmup=warmup, measure=measure,
-                seed=seed, engine=engine,
-            ))
-        for f_label, schedule in _fault_axis(topo):
+        # One saturation batch: every (topology, traffic) baseline
+        # followed by every (topology, fault, traffic) degraded search.
+        base_jobs: List[SaturationJob] = []
+        base_index: Dict[Tuple[str, str], int] = {}
+        deg_jobs: List[SaturationJob] = []
+        grid: List[Tuple[Any, str, FaultSchedule, str, _tasks.TrafficSpec]] = []
+        for table in tables:
+            topo = table.topology
             for t_label, spec in _traffic_axis(topo):
-                grid.append((table, f_label, schedule, t_label, spec))
-                deg_jobs.append(SaturationJob(
+                base_index[(topo.name, t_label)] = len(base_jobs)
+                base_jobs.append(SaturationJob(
                     table=table, traffic=spec,
-                    name=f"{topo.name}/{f_label}/{t_label}",
+                    name=f"{topo.name}/{t_label}",
                     lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
-                    warmup=warmup, measure=measure, seed=seed,
-                    engine=engine, faults=schedule,
+                    warmup=warmup, measure=measure,
+                    seed=seed, engine=engine,
                 ))
-    sats = runner.saturations(base_jobs + deg_jobs)
-    base_sats = sats[: len(base_jobs)]
-    deg_sats = sats[len(base_jobs):]
+            for f_label, schedule in _fault_axis(topo):
+                for t_label, spec in _traffic_axis(topo):
+                    grid.append((table, f_label, schedule, t_label, spec))
+                    deg_jobs.append(SaturationJob(
+                        table=table, traffic=spec,
+                        name=f"{topo.name}/{f_label}/{t_label}",
+                        lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
+                        warmup=warmup, measure=measure, seed=seed,
+                        engine=engine, faults=schedule,
+                    ))
+        sats = runner.saturations(base_jobs + deg_jobs)
+        base_sats = sats[: len(base_jobs)]
+        deg_sats = sats[len(base_jobs):]
 
-    # One sim-point batch: the delivered-fraction probes (mid-run fault),
-    # each pitched below its own cell's degraded knee so losses come from
-    # the fault, not queueing collapse.
-    probe_rates = [
-        max(PROBE_FLOOR, round(probe_fraction * float(deg), 4))
-        for deg in deg_sats
-    ]
-    probe_payloads = []
-    for (table, f_label, _schedule, t_label, spec), rate in zip(
-        grid, probe_rates
-    ):
-        topo = table.topology
-        mid = dict(_fault_axis(topo, cycle=probe_cycle))[f_label]
-        probe_payloads.append(_tasks.sim_point_payload(
-            table, spec, rate, probe_warmup, probe_measure, seed, {},
-            engine=engine or runner.engine, faults=mid,
-        ))
-    probe_stats = runner.run_tasks("sim_point", probe_payloads)
+        # One sim-point batch: the delivered-fraction probes (mid-run
+        # fault), each pitched below its own cell's degraded knee so
+        # losses come from the fault, not queueing collapse.
+        probe_rates = [
+            max(PROBE_FLOOR, round(probe_fraction * float(deg), 4))
+            for deg in deg_sats
+        ]
+        probe_payloads = []
+        for (table, f_label, _schedule, t_label, spec), rate in zip(
+            grid, probe_rates
+        ):
+            topo = table.topology
+            mid = dict(_fault_axis(topo, cycle=probe_cycle))[f_label]
+            probe_payloads.append(_tasks.sim_point_payload(
+                table, spec, rate, probe_warmup, probe_measure, seed, {},
+                engine=engine or runner.engine, faults=mid,
+            ))
+        probe_stats = runner.run_tasks("sim_point", probe_payloads)
 
     cells = [
         ScenarioCell(

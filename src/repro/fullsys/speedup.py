@@ -174,48 +174,31 @@ def parsec_sweep(
     """Fig. 8: per-benchmark speedup and latency reduction vs mesh.
 
     Every (benchmark, topology) pair is one independent closed-loop
-    simulation.  With a :class:`~repro.runner.Runner` they all fan out
-    as ``closed_loop`` tasks — parallel across workers, content-hash
-    cached on disk — and reassemble positionally, so the rows are
-    bit-identical to the serial loop at any worker count.
+    simulation.  They all fan out as ``closed_loop`` tasks — parallel
+    across the runner's workers, content-hash cached on disk — and
+    reassemble positionally, so the rows are bit-identical at any
+    worker count.
     """
+    from ..runner.orchestrator import ClosedLoopJob, ensure_runner
+
     workloads = workloads or PARSEC
     names = list(tables)
-    rows: List[Figure8Row] = []
-    if runner is not None:
-        from ..runner.orchestrator import ClosedLoopJob
-
-        jobs = [
-            ClosedLoopJob(
-                table=tab, workload=w, warmup=warmup, measure=measure,
-                seed=seed,
-            )
-            for w in workloads
-            for tab in [mesh_table] + [tables[n] for n in names]
-        ]
-        results = iter(runner.closed_loops(jobs))
-        for w in workloads:
-            base = next(results)
-            speed = {}
-            red = {}
-            for name in names:
-                r = next(results)
-                speed[name] = r.speedup_over(base)
-                red[name] = r.latency_reduction_over(base)
-            rows.append(
-                Figure8Row(workload=w.name, speedups=speed, latency_reductions=red)
-            )
-        return rows
-    for w in workloads:
-        base = run_workload(
-            mesh_table, w, seed=seed, warmup=warmup, measure=measure,
+    jobs = [
+        ClosedLoopJob(
+            table=tab, workload=w, warmup=warmup, measure=measure, seed=seed,
         )
+        for w in workloads
+        for tab in [mesh_table] + [tables[n] for n in names]
+    ]
+    with ensure_runner(runner) as runner:
+        results = iter(runner.closed_loops(jobs))
+    rows: List[Figure8Row] = []
+    for w in workloads:
+        base = next(results)
         speed: Dict[str, float] = {}
         red: Dict[str, float] = {}
-        for name, tab in tables.items():
-            r = run_workload(
-                tab, w, seed=seed, warmup=warmup, measure=measure,
-            )
+        for name in names:
+            r = next(results)
             speed[name] = r.speedup_over(base)
             red[name] = r.latency_reduction_over(base)
         rows.append(Figure8Row(workload=w.name, speedups=speed, latency_reductions=red))

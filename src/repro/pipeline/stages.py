@@ -22,12 +22,11 @@ objective value within the point's budgets.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runner import tasks as _tasks
-from ..runner.orchestrator import Runner, RoutingJob, SaturationJob
+from ..runner.orchestrator import Runner, RoutingJob, SaturationJob, ensure_runner
 from .design import DesignPoint
 
 #: Objectives where smaller is better (sparsest cut maximizes).
@@ -39,20 +38,6 @@ _MINIMIZING = {"latency": True, "shuffle": True, "sparsest_cut": False}
 #: ``LAYERING_CUTOFF`` in :mod:`repro.routing.dest_tree` — and a
 #: simulation sweep at that scale would dwarf the generation cost).
 SIM_CUTOFF = 128
-
-
-@contextmanager
-def _ensure_runner(runner: Optional[Runner]):
-    """The caller's runner, or an ephemeral serial/uncached one.
-
-    The ephemeral fallback keeps the no-runner path byte-equivalent to
-    direct in-process calls: no worker processes, no disk writes.
-    """
-    if runner is not None:
-        yield runner
-        return
-    with Runner(parallel=1, no_cache=True) as ephemeral:
-        yield ephemeral
 
 
 def _failure(res: Any) -> Optional[str]:
@@ -110,7 +95,7 @@ def generate_points(
     points = list(points)
     for p in points:
         p.validate()
-    with _ensure_runner(runner) as r:
+    with ensure_runner(runner) as r:
         results: List[Optional[Any]] = [None] * len(points)
         errors: Dict[int, List[str]] = {}
 
@@ -202,7 +187,7 @@ def route_topologies(
         )
         for topo in topologies
     ]
-    with _ensure_runner(runner) as r:
+    with ensure_runner(runner) as r:
         return r.tables(jobs)
 
 
@@ -259,7 +244,7 @@ def evaluate_tables(
     )
 
     simulated = [i for i, t in enumerate(tables) if t.topology.n <= sim_cutoff]
-    with _ensure_runner(runner) as r:
+    with ensure_runner(runner) as r:
         jobs = [
             SaturationJob(
                 table=tables[i],

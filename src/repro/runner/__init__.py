@@ -47,12 +47,14 @@ from .orchestrator import (
     RoutingJob,
     Runner,
     SaturationJob,
+    ensure_runner,
     task_key,
 )
 from .tasks import TrafficSpec, decode_table, encode_table
 
 __all__ = [
     "Runner",
+    "ensure_runner",
     "CurveJob",
     "SaturationJob",
     "ClosedLoopJob",

@@ -273,7 +273,7 @@ def _entry_value(task: ArtifactTask, result: Dict[str, Any]) -> Any:
 
 def generate_all(
     out_dir: str,
-    runner: Optional[Runner] = None,
+    runner: Runner,
     only: Optional[List[str]] = None,
     log: Callable[[str], None] = print,
 ) -> Dict[str, int]:
@@ -281,9 +281,9 @@ def generate_all(
 
     Returns ``{"done": ..., "skipped": ..., "failed": ...}``.  Safe to
     interrupt and rerun: finished entries are skipped via the group
-    files, and in-progress batches resume from the content cache.
+    files, and in-progress batches resume from ``runner``'s content
+    cache.
     """
-    runner = runner or Runner()
     os.makedirs(out_dir, exist_ok=True)
 
     def group_path(group: str) -> str:

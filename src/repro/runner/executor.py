@@ -418,10 +418,7 @@ class ParallelExecutor:
 
     # -- public maps ---------------------------------------------------------
     def map(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        chunksize: Optional[int] = None,  # kept for API compatibility
+        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> List[Any]:
         """Supervised order-preserving map; raises
         :class:`QuarantineError` (after the wave completes) if any

@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..routing.tables import RoutingTable
 from ..sim.fastnet import DEFAULT_ENGINE
@@ -608,3 +609,19 @@ class Runner:
         from ..experiments.registry import get_experiment
 
         return get_experiment(name).run(self, fast, **kwargs)
+
+
+@contextmanager
+def ensure_runner(runner: Optional[Runner]) -> Iterator[Runner]:
+    """The caller's runner, or a serial, uncached one closed on exit.
+
+    The one meaning of ``runner=None`` for every entry point that fans
+    work through a runner: the work runs in this process, one task at a
+    time, and nothing is read from or written to disk (no cache, no
+    journal, no failure artifacts).
+    """
+    if runner is not None:
+        yield runner
+        return
+    with Runner(parallel=1, no_cache=True) as serial:
+        yield serial

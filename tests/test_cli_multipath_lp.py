@@ -127,20 +127,42 @@ class TestCLI:
             main(self.SIM + ["--engine", "turbo",
                              "--faults", "500:link_down:2-7"])
 
+    def test_simulate_caches_its_table(self, tmp_path, monkeypatch, capsys):
+        """The routed table is a cached ``routing`` task of the
+        command's runner: a rerun on the same cache does not route."""
+        import repro.routing
+
+        argv = ["simulate", "FoldedTorus", "--points", "2",
+                "--max-rate", "0.08", "--warmup", "100", "--measure", "300",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def boom(*a, **kw):
+            raise AssertionError("routing executed despite cached table")
+
+        monkeypatch.setattr(repro.routing, "ndbt_route", boom)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     @pytest.mark.parametrize("flag,value", [
         ("--warmup", "-1"), ("--measure", "0"), ("--points", "0"),
         ("--max-rate", "-0.1"), ("--max-rate", "0"), ("--engine", "reference"),
+        ("--seeds", "0"), ("--parallel", "-1"), ("--task-retries", "-1"),
+        ("--task-timeout", "0"),
     ])
     def test_simulate_rejects_bad_values(self, flag, value, capsys):
-        """Out-of-range budgets are usage errors (exit 2), not a
-        ZeroDivisionError, an empty table or a negative-rate sweep."""
+        """Out-of-range budgets and runner settings are usage errors
+        (exit 2), not a ZeroDivisionError, an empty table, a
+        negative-rate sweep, a silent clamp or a traceback."""
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "FoldedTorus", flag, value, "--no-cache"])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--warmup", "-1"), ("--measure", "0"),
+        ("--warmup", "-1"), ("--measure", "0"), ("--seeds", "0"),
+        ("--iters", "0"),
     ])
     def test_explore_rejects_bad_budgets(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -413,6 +413,32 @@ def test_routed_table_disk_cache(table, tmp_path, monkeypatch):
     assert third.stats.hits == 0
 
 
+def test_ensure_runner_passes_through_or_builds_serial_uncached():
+    from repro.runner import ensure_runner
+
+    with Runner(parallel=1, no_cache=True) as mine:
+        with ensure_runner(mine) as r:
+            assert r is mine
+    with ensure_runner(None) as r:
+        assert r.parallel == 1
+        assert r.cache is None and r.journal is None
+
+
+def test_no_runner_writes_nothing(tmp_path, monkeypatch):
+    """``runner=None`` means a serial, uncached runner: a plain library
+    call leaves no cache, journal or failure artifact behind."""
+    from repro.experiments.fig6 import fig6_curves
+    from repro.experiments.recovery import recovery_grid
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    recovery_grid(topologies=("Mesh",), workloads=("blackscholes",),
+                  out_dir=None)
+    fig6_curves(link_classes=("small",), warmup=150, measure=400,
+                allow_generate=False)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # artifact orchestration (builders stubbed: the real ones run for hours)
 # ---------------------------------------------------------------------------
@@ -470,23 +496,52 @@ def _cl_workloads():
 
 
 @pytest.fixture(scope="module")
-def serial_rows(table):
-    from repro.fullsys import parsec_sweep
+def ring_table():
+    """A 2x3 ring: a second closed-loop table unlike the mesh baseline."""
+    layout = Layout(rows=2, cols=3)
+    edges = [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0)]
+    topo = Topology.from_undirected(layout, edges, name="ring2x3", link_class="small")
+    routes = ndbt_route(topo, seed=0)
+    return build_routing_table(routes, assign_vcs(routes, seed=0))
 
-    return parsec_sweep({"self": table}, table, workloads=_cl_workloads(),
-                        **CL_BUDGET)
+
+@pytest.fixture(scope="module")
+def serial_rows(table, ring_table):
+    """Fig. 8 rows from direct closed-loop runs, one per (workload,
+    table) pair, so no runner is its own reference."""
+    from repro.fullsys import Figure8Row, run_workload
+
+    rows = []
+    for w in _cl_workloads():
+        base = run_workload(table, w, **CL_BUDGET)
+        ring = run_workload(ring_table, w, **CL_BUDGET)
+        rows.append(Figure8Row(
+            workload=w.name,
+            speedups={"ring": ring.speedup_over(base)},
+            latency_reductions={"ring": ring.latency_reduction_over(base)},
+        ))
+    return rows
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [None, 1, 2])
 def test_parallel_closed_loop_bit_identical_to_serial(
-    table, serial_rows, workers, tmp_path
+    table, ring_table, serial_rows, workers, tmp_path
 ):
+    """``parsec_sweep`` at any worker count, and without a runner,
+    reproduces the direct runs."""
+    from contextlib import nullcontext
+
     from repro.fullsys import parsec_sweep
 
-    with Runner(parallel=workers, cache_dir=str(tmp_path)) as runner:
-        rows = parsec_sweep({"self": table}, table, workloads=_cl_workloads(),
-                            runner=runner, **CL_BUDGET)
+    with (
+        nullcontext() if workers is None
+        else Runner(parallel=workers, cache_dir=str(tmp_path))
+    ) as runner:
+        rows = parsec_sweep({"ring": ring_table}, table,
+                            workloads=_cl_workloads(), runner=runner,
+                            **CL_BUDGET)
     assert rows == serial_rows
+    assert any(r.speedups["ring"] != 1.0 for r in rows)
 
 
 def test_closed_loop_cache_hit_skips_simulation(table, tmp_path, monkeypatch):
