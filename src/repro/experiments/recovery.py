@@ -208,7 +208,7 @@ def recovery_grid(
     n_routers: int = 20,
     runner: Optional[Runner] = None,
     fast: bool = True,
-    out_dir: Optional[str] = "recovery-artifacts",
+    out_dir: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
     tolerance: float = 0.25,
     seed: int = 0,
@@ -218,7 +218,9 @@ def recovery_grid(
     Each cell is one windowed closed-loop run (the ``recovery`` task
     family — cached, fanned across workers).  The drain/settling metrics
     derive client-side from the cached window series, so ``tolerance``
-    re-analysis never re-simulates.
+    re-analysis never re-simulates.  JSON artifacts are written only
+    when ``out_dir`` is given (``repro run recovery`` passes
+    ``recovery-artifacts``).
     """
     retry = retry or DEFAULT_RETRY
 

@@ -428,7 +428,9 @@ def _run_report(runner, fast, **kw):
 def _run_robustness(runner, fast, **kw):
     from .robustness import robustness_grid
 
-    return robustness_grid(runner=runner, fast=fast, **kw)
+    return robustness_grid(
+        runner=runner, fast=fast, out_dir="robustness-artifacts", **kw
+    )
 
 
 def _summarize_robustness(res):
@@ -438,7 +440,9 @@ def _summarize_robustness(res):
 def _run_recovery(runner, fast, **kw):
     from .recovery import recovery_grid
 
-    return recovery_grid(runner=runner, fast=fast, **kw)
+    return recovery_grid(
+        runner=runner, fast=fast, out_dir="recovery-artifacts", **kw
+    )
 
 
 def _summarize_recovery(res):

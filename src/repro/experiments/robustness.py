@@ -201,7 +201,7 @@ def robustness_grid(
     n_routers: int = 20,
     runner: Optional[Runner] = None,
     fast: bool = True,
-    out_dir: Optional[str] = "robustness-artifacts",
+    out_dir: Optional[str] = None,
     probe_fraction: float = PROBE_FRACTION,
     seed: int = 0,
     engine: Optional[str] = None,
@@ -211,7 +211,9 @@ def robustness_grid(
     Saturation legs inject the fault at cycle 0 (steady degraded state);
     the delivered-fraction probe injects it a third of the way into the
     measurement window, so the loss number includes packets stranded by
-    the epoch swap itself.  All legs batch through one runner.
+    the epoch swap itself.  All legs batch through one runner.  JSON
+    artifacts are written only when ``out_dir`` is given (``repro run
+    robustness`` passes ``robustness-artifacts``).
     """
     warmup, measure, iters = (200, 600, 5) if fast else (400, 1600, 7)
     probe_warmup, probe_measure = (200, 800) if fast else (400, 1600)

@@ -253,10 +253,14 @@ class FastNetworkSimulator:
     #: ``_closed_gen(cycle, pending, in_flight, pid)`` replaces the whole
     #: generation block when set (demand-driven injection is state-
     #: dependent, so it cannot be trace-fed) and returns the updated
-    #: accumulators; ``_closed_eject(cycle, rec, in_flight)`` observes
-    #: every ejection (the reference engine's ``_on_eject`` hook) and
-    #: returns the updated in-flight count.  ``None`` (the default) costs
-    #: the open-loop hot path one pointer test per cycle / per ejection.
+    #: accumulators plus ``due``, the next cycle on which it can act; the
+    #: loop calls it only once ``cycle >= due`` and on the first cycle of
+    #: every ``_run_cycles`` segment.  ``_closed_eject(cycle, rec,
+    #: in_flight, due)`` observes every ejection (the reference engine's
+    #: ``_on_eject`` hook) and returns the updated in-flight count and
+    #: ``due``, lowered when the ejection gives the generation hook work.
+    #: ``None`` (the default) costs the open-loop hot path one pointer
+    #: test per cycle / per ejection.
     _closed_gen = None
     _closed_eject = None
 
@@ -464,6 +468,7 @@ class FastNetworkSimulator:
         lam = self.rate
         gen_fn = self._closed_gen
         eject_fn = self._closed_eject
+        due = cycle  # the closed-loop hook runs on a segment's first cycle
         trace = self._trace_for(lam) if lam > 0 and gen_fn is None else None
         use_trace = trace is not None
         events = self._events
@@ -529,9 +534,14 @@ class FastNetworkSimulator:
             # trace replicates the reference's draw stream bit-exactly).
             # Closed-loop mode replaces the block outright: injection is
             # demand-driven (per-node outstanding budgets) so each
-            # cycle's draws depend on simulation state.
+            # cycle's draws depend on simulation state.  The hook names
+            # the next cycle it can act on; the cycles before it are
+            # skipped.
             if gen_fn is not None:
-                pending, in_flight, pid = gen_fn(cycle, pending, in_flight, pid)
+                if cycle >= due:
+                    pending, in_flight, pid, due = gen_fn(
+                        cycle, pending, in_flight, pid
+                    )
             elif use_trace:
                 if cycle >= trace_end:
                     events, trace_end = self._compile_events(trace.next_chunk())
@@ -742,7 +752,9 @@ class FastNetworkSimulator:
                                 lat_sum += cycle + size - birth
                                 lat_count += 1
                         if eject_fn is not None:
-                            in_flight = eject_fn(cycle, rec, in_flight)
+                            in_flight, due = eject_fn(
+                                cycle, rec, in_flight, due
+                            )
                         continue
                     out = key
                     nr = len(reqs)

@@ -99,10 +99,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "max_load" in out and "vcs=" in out
 
-    def test_simulate_command(self, capsys):
+    def test_simulate_command(self, capsys, tmp_path):
         rc = main([
             "simulate", "FoldedTorus", "--points", "2", "--max-rate", "0.08",
             "--warmup", "100", "--measure", "300",
+            "--cache-dir", str(tmp_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out

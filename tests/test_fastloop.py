@@ -18,6 +18,7 @@ import pytest
 
 from closedloop_oracle import ClosedLoopSimulator, run_on_oracle
 from repro.fullsys import FastClosedLoopSimulator, validate_closed_loop, workload
+from repro.fullsys import fastloop
 from repro.fullsys.speedup import demand_rate_for, run_workload
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import uniform_random
@@ -138,6 +139,78 @@ class TestDifferential:
         assert sref.completed_requests > 50
         assert math.isfinite(sref.avg_round_trip_cycles)
         assert sref.rtt_sum == sfast.rtt_sum > 0
+
+
+def _parsec_kw(name):
+    w = workload(name)
+    return dict(
+        demand_rate=demand_rate_for(w),
+        mlp_per_node=int(round(w.mlp * 3.2)),
+        memory_fraction=w.memory_fraction,
+    )
+
+
+class TestDemandSchedule:
+    """The hook runs only on cycles where it can act and walks only the
+    winning routers; these pin the paths the PARSEC matrix above rarely
+    reaches: refills inside a win's own draws, a demand rate changed
+    between spans, and the call count itself."""
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("workload_name", ["blackscholes", "canneal"])
+    def test_small_word_chunks(self, tables, monkeypatch, chunk,
+                               workload_name):
+        """Tiny chunks put refills mid-cycle and between a win's demand
+        word and its memory-fraction and Lemire draws."""
+        monkeypatch.setattr(fastloop, "_WORD_CHUNK", chunk)
+        (ref, sref), (fast, sfast) = _pair(
+            tables["Mesh"], lambda: uniform_random(20), 0,
+            **_parsec_kw(workload_name),
+        )
+        assert sref == sfast
+        assert ref.outstanding == fast.outstanding
+        assert sorted(ref.pending_replies) == sorted(fast.pending_replies)
+
+    def test_demand_changed_between_spans(self, tables):
+        """A new ``demand_rate`` re-indexes the chunk's wins; the cycles
+        skipped before it still drew at the old rate."""
+        kw = dict(demand_rate=0.03, mlp_per_node=8, memory_fraction=0.5,
+                  seed=0)
+        ref = ClosedLoopSimulator(tables["Mesh"], uniform_random(20), **kw)
+        fast = FastClosedLoopSimulator(
+            tables["Mesh"], uniform_random(20), **kw
+        )
+        for demand in (0.03, 0.3, 0.0, 0.05):
+            ref.demand_rate = fast.demand_rate = demand
+            ref._run_span(150)
+            fast._run_span(150)
+            assert ref.issued == fast.issued
+            assert ref.completed_total == fast.completed_total
+            assert ref.outstanding == fast.outstanding
+        assert fast.issued > 0
+
+    def test_hook_skips_cycles_it_cannot_act_on(self, tables, monkeypatch):
+        """Low demand (blackscholes) leaves most cycles with no winning
+        draw, no maturing reply and no retry work: the fused loop must
+        not call the hook on them."""
+        calls = []
+        gen = FastClosedLoopSimulator._closed_gen
+
+        def counting(self, cycle, *acc):
+            calls.append(cycle)
+            return gen(self, cycle, *acc)
+
+        monkeypatch.setattr(FastClosedLoopSimulator, "_closed_gen", counting)
+        sim = FastClosedLoopSimulator(
+            tables["Mesh"], uniform_random(20), seed=0,
+            **_parsec_kw("blackscholes"),
+        )
+        stats = sim.run_closed_loop(**BUDGET)
+        cycles = BUDGET["warmup"] + BUDGET["measure"]
+        assert sim.cycle == cycles
+        assert stats.completed_requests > 0
+        assert len(set(calls)) == len(calls)
+        assert 0 < len(calls) < cycles / 4
 
 
 @pytest.mark.parametrize("traffic_fn", [

@@ -432,8 +432,7 @@ def test_no_runner_writes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    recovery_grid(topologies=("Mesh",), workloads=("blackscholes",),
-                  out_dir=None)
+    recovery_grid(topologies=("Mesh",), workloads=("blackscholes",))
     fig6_curves(link_classes=("small",), warmup=150, measure=400,
                 allow_generate=False)
     assert list(tmp_path.iterdir()) == []
