@@ -1,6 +1,6 @@
 """Scale benchmark: sparse representations vs router count.
 
-Six measurements back the sparse-at-scale work and the per-table costs:
+Seven measurements back the sparse-at-scale work and the per-table costs:
 
 * **Incremental SA APSP** — the same annealing run (identical seed,
   steps, config) with the production ``IncrementalAPSP`` vs the
@@ -11,6 +11,13 @@ Six measurements back the sparse-at-scale work and the per-table costs:
   production run is >= 3x faster (each move recomputes only the
   affected rows/columns of the hop matrix instead of all pairs, by
   scipy's BFS at this size).
+* **Exact cuts** — one exhaustive cut scan (every bipartition) of
+  Kite-Small-20 and of a random 22-router digraph, by the split-half
+  cut tables vs the chunked mask-by-mask oracle
+  (``tests/cut_oracle.py``), best of several calls each.  Values and
+  members are asserted identical; the floor asserts the tables are
+  >= 8x faster per call at 20 routers, where every SCOp SA move and
+  Table II row pays one scan.
 * **Small SA moves** — the same comparison on explore's 4x5 medium
   point (6000 steps, seed 0), where each move's affected slice is a
   few rows of 20 routers and the dense BFS recomputes them; the floor
@@ -46,6 +53,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from repro.core import search
 from repro.core.netsmith import NetSmithConfig
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
@@ -59,18 +68,25 @@ from repro.topology import (
     diameter,
     expert_topology,
     kite,
+    metrics,
     standard_layout,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 import apsp_oracle  # noqa: E402  (test-only full-recompute APSP)
 import cdg_oracle  # noqa: E402  (test-only networkx reference)
+import cut_oracle  # noqa: E402  (test-only chunked mask-by-mask cut scan)
 import hashing_oracle  # noqa: E402  (test-only walking hash)
 import kite_oracle  # noqa: E402  (test-only per-candidate APSP greedy)
 
 APSP_SPEEDUP_FLOOR = 3.0
 APSP_GRID = (16, 16)  # n = 256, the floor's contract point
 APSP_STEPS = 150
+
+CUT_SPEEDUP_FLOOR = 8.0
+CUT_TOPOLOGY = ("Kite-Small", 20)  # the floor's contract point
+CUT_RANDOM_N = 22  # the exhaustive limit; recorded, no floor
+CUT_CALLS = {"oracle": 3, "tables": 5}  # best of this many calls counts
 
 SMALL_SA_SPEEDUP_FLOOR = 2.5
 SMALL_SA_CASE = (4, 5, "medium")  # explore-sa's grid; the floor's contract point
@@ -151,6 +167,57 @@ def test_incremental_apsp_speedup(once, bench_record, monkeypatch):
     assert speedup >= APSP_SPEEDUP_FLOOR, (
         f"incremental SA APSP only {speedup:.2f}x faster than full "
         f"recompute at n={n} (floor {APSP_SPEEDUP_FLOOR}x)"
+    )
+
+
+def test_exact_cut_speedup(once, bench_record):
+    name, n = CUT_TOPOLOGY
+    rng = np.random.default_rng(0)
+    big = (rng.random((CUT_RANDOM_N, CUT_RANDOM_N)) < 0.2).astype(np.int8)
+    np.fill_diagonal(big, 0)
+    cases = {f"{name}-{n}": expert_topology(name, n).adj,
+             f"random-{CUT_RANDOM_N}": big}
+
+    def harness():
+        return {
+            label: (
+                _best_of(cut_oracle.cut_scan, adj, reps=1,
+                         rounds=CUT_CALLS["oracle"]),
+                _best_of(metrics._cut_scan, adj, reps=1,
+                         rounds=CUT_CALLS["tables"]),
+            )
+            for label, adj in cases.items()
+        }
+
+    timings = once(harness)
+    print("\nExact cut scan per call (best of "
+          f"{CUT_CALLS['oracle']} oracle / {CUT_CALLS['tables']} table calls):")
+    speedups = {}
+    for label, (oracle_s, tables_s) in timings.items():
+        ref = cut_oracle.cut_scan(cases[label])
+        got = metrics._cut_scan(cases[label])
+        assert (got[0], got[2]) == (ref[0], ref[2]), (
+            f"split-half cut tables changed the cut values of {label}"
+        )
+        assert all(np.array_equal(g, r) for g, r in
+                   ((got[1], ref[1]), (got[3], ref[3]))), (
+            f"split-half cut tables changed the cut members of {label}"
+        )
+        speedups[label] = oracle_s / tables_s
+        print(f"  {label:<16} oracle {oracle_s * 1e3:7.1f} ms  tables "
+              f"{tables_s * 1e3:6.1f} ms  speedup {speedups[label]:.1f}x")
+        bench_record(**{label: {
+            "oracle_ms": round(oracle_s * 1e3, 2),
+            "tables_ms": round(tables_s * 1e3, 2),
+            "speedup": round(speedups[label], 2),
+            "sparsest_value": ref[0],
+        }})
+    floor_label = f"{name}-{n}"
+    bench_record(floor=CUT_SPEEDUP_FLOOR, floor_case=floor_label)
+    assert speedups[floor_label] >= CUT_SPEEDUP_FLOOR, (
+        f"split-half cut tables only {speedups[floor_label]:.2f}x faster "
+        f"per call than the chunked scan on {floor_label} "
+        f"(floor {CUT_SPEEDUP_FLOOR}x)"
     )
 
 

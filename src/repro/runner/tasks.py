@@ -214,7 +214,18 @@ def encode_table(table) -> CanonicalDoc:
     (:class:`~repro.routing.tables.CSRRoutingTable`) encode as
     ``format: "csr"`` with flat n² arrays — O(n²) doc size where the
     dict form is O(n² · avg_hops) — and decode back to the CSR class.
+
+    The doc is built at most once per table and memoized on it, like the
+    table's compiled form, so every payload on one table shares it;
+    callers must not mutate it.
     """
+    doc = table.__dict__.get("_table_doc")
+    if doc is None:
+        doc = table.__dict__["_table_doc"] = _table_doc(table)
+    return doc
+
+
+def _table_doc(table) -> CanonicalDoc:
     topo = table.topology
     doc = CanonicalDoc({
         "layout": [int(topo.layout.rows), int(topo.layout.cols)],

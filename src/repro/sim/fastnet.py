@@ -385,6 +385,8 @@ class FastNetworkSimulator:
         self._events: List[EventRecord] = []
         self._ev_i = 0
         self._trace_end = 0
+        # The cycle the current ``run`` ends on: chunks stop there.
+        self._run_end = 0
 
         self._pid = 0
         self.cycle = 0
@@ -475,6 +477,7 @@ class FastNetworkSimulator:
         ev_i = self._ev_i
         ev_len = len(events)
         trace_end = self._trace_end
+        run_end = self._run_end
         source_q = self.source_q
         pending = self.pending
         pollable = self.pollable
@@ -544,7 +547,9 @@ class FastNetworkSimulator:
                     )
             elif use_trace:
                 if cycle >= trace_end:
-                    events, trace_end = self._compile_events(trace.next_chunk())
+                    events, trace_end = self._compile_events(trace.next_chunk(
+                        run_end - cycle if run_end > cycle else None
+                    ))
                     ev_i = 0
                     ev_len = len(events)
                 while ev_i < ev_len:
@@ -1065,6 +1070,10 @@ class FastNetworkSimulator:
 
     def run(self, warmup: int, measure: int) -> SimStats:
         """Warm up, then measure for ``measure`` cycles."""
+        if self.trace_chunk_cycles is None:
+            # Generate only the cycles this run simulates; ``step`` and
+            # the test override keep whole chunks.
+            self._run_end = self.cycle + warmup + measure
         self._advance(warmup)
         self.measuring = True
         self.measure_start = self.cycle

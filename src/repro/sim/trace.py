@@ -53,8 +53,9 @@ from .rngstream import (
 )
 from .traffic import TrafficPattern
 
-#: Cycles generated per chunk.  Large enough to amortize the numpy pass,
-#: small enough that a short run never pre-draws absurdly far ahead.
+#: Cycles generated per chunk, at most.  Large enough to amortize the
+#: numpy pass; the fast engine's ``run`` also stops each chunk at the
+#: run's last cycle, so a run generates no cycle it does not simulate.
 TRACE_CHUNK_CYCLES = 2048
 
 _U32 = np.uint64(0xFFFFFFFF)
@@ -131,22 +132,25 @@ class TraceStream:
         self._pos = 0
 
     # -- public API ----------------------------------------------------------
-    def next_chunk(self) -> TraceChunk:
-        """Generate the next chunk of cycles (at least one)."""
+    def next_chunk(self, max_cycles: Optional[int] = None) -> TraceChunk:
+        """Generate the next chunk of cycles: at least one, at most
+        ``chunk_cycles`` and, when given, at most ``max_cycles``."""
+        C = self.chunk_cycles
+        if max_cycles is not None:
+            C = min(C, max_cycles)
         if self._vec_ok:
-            out = self._chunk_vectorized()
+            out = self._chunk_vectorized(C)
             if out is not None:
                 return out
             # A Lemire rejection was detected: nothing was committed, so
             # the scalar emulation below replays the same words exactly.
-        return self._chunk_scalar()
+        return self._chunk_scalar(C)
 
     # -- vectorized generation -----------------------------------------------
-    def _chunk_vectorized(self) -> Optional[TraceChunk]:
+    def _chunk_vectorized(self, C: int) -> Optional[TraceChunk]:
         n = self.n
         spec = self.spec
         frac = self.frac
-        C = self.chunk_cycles
         extra = self._extra_dbl
         has_int = self._has_int
         # Worst case one cycle: every node wins.
@@ -289,7 +293,7 @@ class TraceStream:
             self._scalar_tables = (table, bounds)
         return self._scalar_tables
 
-    def _chunk_scalar(self) -> TraceChunk:
+    def _chunk_scalar(self, C: int) -> TraceChunk:
         """Exact scalar emulation over the raw buffer (any rate, any
         bounds, rejection loops included)."""
         n = self.n
@@ -300,7 +304,6 @@ class TraceStream:
         dfrac = self.dfrac
         hf = spec.hot_fraction
         table, bounds = self._scalar_lookups()
-        C = self.chunk_cycles
 
         start = self._pos
         words = self._buf[start:].tolist()

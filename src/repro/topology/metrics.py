@@ -8,8 +8,9 @@
 * **Sparsest cut** — the uniform-demand sparsest cut
   ``min over (U,V)`` of ``cross(U,V) / (|U| * |V|)``, the tightest
   cut-based throughput bound (Jyothi et al. [27]); exhaustively enumerated
-  with vectorized bitmask chunks for n <= 22, heuristic (spectral +
-  Kernighan–Lin refinement with restarts) above.
+  for n <= 22, every bipartition's crossing counts read off split-half
+  cut tables (each half's crossings tabulated once), heuristic (spectral
+  + Kernighan–Lin refinement with restarts) above.
 
 Throughput bounds (paper II-D, Fig. 7):
 
@@ -29,7 +30,10 @@ import numpy as np
 from .graph import Topology
 
 _EXHAUSTIVE_LIMIT = 22
-_CHUNK = 1 << 12
+
+#: Masks per block of the exhaustive scan (whole ``hi`` rows of ``2**l``
+#: masks, at least one row): bounds the scan's temporaries.
+_BLOCK = 1 << 16
 
 #: Above this size the spectral+KL cut heuristic (O(n²) per refinement
 #: probe) is replaced by an O(E log n) Fiedler sweep cut.
@@ -70,59 +74,87 @@ def hop_histogram(topo: Topology) -> Dict[int, int]:
 # Cut enumeration machinery
 # ---------------------------------------------------------------------------
 
-def _cut_scan(
-    adj: np.ndarray,
-    balanced_only: bool,
-) -> Tuple[float, np.ndarray, float, np.ndarray]:
-    """Vectorized exhaustive scan over all bipartitions with node 0 in U.
+def _memberships(bits: int) -> np.ndarray:
+    """The ``2**bits x bits`` table whose row r flags the set bits of r."""
+    r = np.arange(1 << bits)[:, None]
+    return ((r >> np.arange(bits)) & 1).astype(np.float64)
+
+
+def _cut_scan(adj: np.ndarray) -> Tuple[float, np.ndarray, float, np.ndarray]:
+    """Exhaustive scan over all bipartitions with node 0 in U.
 
     Returns ``(best_sparsest_value, best_sparsest_mask,
     best_balanced_cross, best_balanced_mask)``; sparsest values are
-    ``min_dir_cross / (|U| |V|)``.
+    ``min_dir_cross / (|U| |V|)``.  Mask bit k means node k+1 is in U,
+    and ties go to the first mask in mask order.
+
+    Split-half tables: A is node 0 plus the ``l`` nodes of the low mask
+    bits, B the ``h`` nodes of the high bits, so mask = ``hi << l | lo``.
+    Per direction, the crossings of mask ``(hi, lo)`` are ``X[lo]``
+    (inside A, plus the A->B links as if all of B were in V), plus
+    ``Y[hi]`` (likewise for B), minus the A<->B links with both ends in
+    U, ``U_B[hi] @ W[:, lo]``.  Every entry is a small integer in
+    float64, so every count is exact and each value is the same float
+    division a mask-by-mask scan makes.  Walking ``hi`` in row blocks
+    visits the masks in mask order: ``np.argmin`` keeps the first
+    minimum within a block and a strict ``<`` the first across blocks.
     """
     n = adj.shape[0]
+    if n > _EXHAUSTIVE_LIMIT + 4:
+        raise ValueError(f"exhaustive cut scan infeasible for n={n}")
+    l = n // 2  # ceil((n - 1) / 2)
+    h = n - 1 - l
+    ua = np.hstack([np.ones((1 << l, 1)), _memberships(l)])  # A = 0..l
+    ub = _memberships(h)  # B = l+1..n-1
+
+    def tables(m: np.ndarray):
+        """``(X, Y, W)`` of the crossings U -> V under adjacency ``m``."""
+        m_aa, m_ab = m[: l + 1, : l + 1], m[: l + 1, l + 1 :]
+        m_ba, m_bb = m[l + 1 :, : l + 1], m[l + 1 :, l + 1 :]
+        x = ((ua @ m_aa) * (1.0 - ua)).sum(axis=1) + ua @ m_ab.sum(axis=1)
+        y = ((ub @ m_bb) * (1.0 - ub)).sum(axis=1) + ub @ m_ba.sum(axis=1)
+        return x, y, (m_ab.T + m_ba) @ ua.T
+
     a = adj.astype(np.float64)
-    total_masks = 1 << (n - 1)
-    bit_idx = np.arange(1, n)
+    x_uv, y_uv, w_uv = tables(a)
+    x_vu, y_vu, w_vu = tables(a.T)
+    size_a = ua.sum(axis=1)  # |U ∩ A|, node 0 included
+    size_b = ub.sum(axis=1)
 
     best_sparse = np.inf
     best_sparse_mask = None
     best_bal = np.inf
     best_bal_mask = None
     half = n // 2
+    nhi = 1 << h
+    rows = max(1, _BLOCK >> l)
 
-    for start in range(0, total_masks, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total_masks), dtype=np.int64)
-        # membership[i, k] = node k in U for mask i; node 0 always in U.
-        memb = np.zeros((masks.size, n), dtype=np.float64)
-        memb[:, 0] = 1.0
-        memb[:, 1:] = (masks[:, None] >> (bit_idx - 1)[None, :]) & 1
-        sizes_u = memb.sum(axis=1)
-        sizes_v = n - sizes_u
-        valid = sizes_v > 0
-        if not valid.any():
-            continue
-        # cross U->V = sum_{i in U, j in V} adj[i, j]
-        from_u = memb @ a  # [mask, node] = # links from U into each node
-        cross_uv = (from_u * (1.0 - memb)).sum(axis=1)
-        to_u = memb @ a.T
-        cross_vu = (to_u * (1.0 - memb)).sum(axis=1)
-        cross = np.minimum(cross_uv, cross_vu)
+    def members(r0: int, k: int) -> np.ndarray:
+        hi, lo = divmod(k, 1 << l)
+        return np.concatenate((ua[lo], ub[r0 + hi])).astype(bool)
 
+    for r0 in range(0, nhi, rows):
+        r1 = min(r0 + rows, nhi)
+        blk = ub[r0:r1]
+        cross = np.minimum(
+            x_uv + (y_uv[r0:r1, None] - blk @ w_uv),
+            x_vu + (y_vu[r0:r1, None] - blk @ w_vu),
+        )
+        size_u = size_a + size_b[r0:r1, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            sparse_vals = np.where(valid, cross / (sizes_u * sizes_v), np.inf)
-        k = int(np.argmin(sparse_vals))
-        if sparse_vals[k] < best_sparse:
-            best_sparse = float(sparse_vals[k])
-            best_sparse_mask = memb[k].astype(bool)
+            vals = cross / (size_u * (n - size_u))
+        if r1 == nhi:
+            vals[-1, -1] = np.inf  # every node in U: not a cut
+        k = int(np.argmin(vals))
+        if vals.flat[k] < best_sparse:
+            best_sparse = float(vals.flat[k])
+            best_sparse_mask = members(r0, k)
 
-        bal = valid & (sizes_u == half)
-        if bal.any():
-            bal_cross = np.where(bal, cross, np.inf)
-            k = int(np.argmin(bal_cross))
-            if bal_cross[k] < best_bal:
-                best_bal = float(bal_cross[k])
-                best_bal_mask = memb[k].astype(bool)
+        bal = np.where(size_u == half, cross, np.inf)
+        k = int(np.argmin(bal))
+        if bal.flat[k] < best_bal:
+            best_bal = float(bal.flat[k])
+            best_bal_mask = members(r0, k)
 
     return best_sparse, best_sparse_mask, best_bal, best_bal_mask
 
@@ -312,9 +344,7 @@ def sparsest_cut(
     if exact is None:
         exact = n <= _EXHAUSTIVE_LIMIT
     if exact:
-        if n > _EXHAUSTIVE_LIMIT + 4:
-            raise ValueError(f"exhaustive cut scan infeasible for n={n}")
-        val, memb, _, _ = _cut_scan(topo.adj, balanced_only=False)
+        val, memb, _, _ = _cut_scan(topo.adj)
         return CutResult(val, memb, True)
     if n > _KL_LIMIT:
         val, memb = _sweep_cut(topo.adj, "sparsest", seed)
@@ -337,7 +367,7 @@ def bisection_bandwidth(
     if exact is None:
         exact = n <= _EXHAUSTIVE_LIMIT
     if exact:
-        _, _, val, _ = _cut_scan(topo.adj, balanced_only=True)
+        _, _, val, _ = _cut_scan(topo.adj)
     elif n > _KL_LIMIT:
         val, _ = _sweep_cut(topo.adj, "bisection", seed)
     else:
@@ -428,12 +458,25 @@ class TopologyMetrics:
 
 
 def summarize(topo: Topology, **cut_kw) -> TopologyMetrics:
-    """Compute the full Table II metric row for a topology."""
+    """Compute the full Table II metric row for a topology.
+
+    Exact cuts of an even router count take both cut columns from one
+    scan; otherwise each column comes from its own function.
+    """
+    exact = cut_kw.get("exact")
+    if exact is None:
+        exact = topo.n <= _EXHAUSTIVE_LIMIT
+    if exact and topo.n % 2 == 0:
+        sparsest, _, balanced, _ = _cut_scan(topo.adj)
+        bisection = int(round(balanced))
+    else:
+        bisection = bisection_bandwidth(topo, **cut_kw)
+        sparsest = sparsest_cut(topo, **cut_kw).value
     return TopologyMetrics(
         name=topo.name,
         num_links=topo.num_links,
         diameter=diameter(topo),
         avg_hops=average_hops(topo),
-        bisection_bw=bisection_bandwidth(topo, **cut_kw),
-        sparsest_cut_value=sparsest_cut(topo, **cut_kw).value,
+        bisection_bw=bisection,
+        sparsest_cut_value=sparsest,
     )

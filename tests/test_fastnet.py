@@ -17,6 +17,7 @@ from repro.faults import parse_faults
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import (
     ENGINES,
+    TRACE_CHUNK_CYCLES,
     CompiledNetwork,
     FastNetworkSimulator,
     bit_complement,
@@ -339,6 +340,22 @@ class TestTraceChunkBoundaries:
         sim = FastNetworkSimulator(table_4x5, traffic, 0.2, seed=6)
         sim.trace_chunk_cycles = 11
         assert sim.run(205, 411) == ref
+
+    @pytest.mark.parametrize("rate", [0.1, 1.0])
+    def test_run_generates_only_its_cycles(self, table_4x5, rate):
+        """A run draws the traffic of the cycles it simulates and no
+        more (rate 1.0 takes the scalar path); whole chunks, as under
+        the override or ``step``, give the same stats."""
+        traffic = uniform_random(20)
+        sim = FastNetworkSimulator(table_4x5, traffic, rate, seed=4)
+        stats = sim.run(250, 800)
+        assert sim._trace.next_cycle == 1050
+        whole = FastNetworkSimulator(table_4x5, traffic, rate, seed=4)
+        whole.trace_chunk_cycles = TRACE_CHUNK_CYCLES
+        assert whole.run(250, 800) == stats
+        assert whole._trace.next_cycle == TRACE_CHUNK_CYCLES
+        sim.step()
+        assert sim._trace.next_cycle == 1050 + TRACE_CHUNK_CYCLES
 
     def test_single_hotspot_pattern_differential(self, table_4x5):
         """Single-hotspot traffic exercises the trace's scalar-emulation

@@ -11,6 +11,7 @@ import hashing_oracle
 from repro.experiments.registry import NDBT, routed_table
 from repro.faults import FaultSchedule
 from repro.fullsys import RetryPolicy, workload
+from repro.fullsys.workloads import PARSEC
 from repro.routing.dest_tree import bfs_dest_table
 from repro.runner import (
     MISS,
@@ -146,6 +147,24 @@ def test_task_keys_match_golden_digests(golden_tables, name):
     keys = {fam: task_key(fam, p) for fam, p in _key_payloads(table).items()}
     keys["table"] = config_hash(encode_table(table))
     assert keys == GOLDEN_KEYS[name]
+
+
+def test_payloads_on_one_table_share_one_doc(golden_tables, monkeypatch):
+    """Fig. 8's twelve PARSEC payloads on one table build its doc once."""
+    table = golden_tables["kite_small_ndbt"]
+    table.__dict__.pop("_table_doc", None)
+    builds = []
+    build = runner_tasks._table_doc
+    monkeypatch.setattr(
+        runner_tasks, "_table_doc", lambda t: builds.append(t) or build(t)
+    )
+    payloads = [
+        runner_tasks.closed_loop_payload(table, w, "small", 100, 300, 0)
+        for w in PARSEC
+    ]
+    assert len(payloads) == 12 and len(builds) == 1
+    assert config_hash(payloads[0]["table"]) == GOLDEN_KEYS[
+        "kite_small_ndbt"]["table"]
 
 
 def test_every_task_family_has_a_version():

@@ -151,22 +151,29 @@ class TestIncrementalAPSP:
 
     # (objective, digest) of each run before the dense BFS and the shared
     # move loop landed: both must leave every SA result bit-identical.
+    # The sparsest-cut run's digest predates the split-half cut tables.
     @pytest.mark.parametrize(
-        "rows,cols,link_class,steps,golden",
+        "rows,cols,link_class,steps,objective,golden",
         [
-            (4, 5, "small", 6000, (903.0, "3bd42a91e72e44f5")),
-            (4, 5, "medium", 6000, (797.0, "6d7960c4b45714f5")),
-            (8, 6, "medium", 3000, (6934.0, "06e62d6869a7a7ac")),
-            (16, 16, "medium", 150, (507779.0, "a0b653cab422f1a4")),
+            (4, 5, "small", 6000, "latency", (903.0, "3bd42a91e72e44f5")),
+            (4, 5, "medium", 6000, "latency", (797.0, "6d7960c4b45714f5")),
+            (8, 6, "medium", 3000, "latency", (6934.0, "06e62d6869a7a7ac")),
+            (16, 16, "medium", 150, "latency",
+             (507779.0, "a0b653cab422f1a4")),
+            (4, 5, "medium", 40, "sparsest_cut",
+             (0.06666666666666667, "d9741add311626c8")),
         ],
-        ids=["4x5-small", "4x5-medium", "8x6-medium", "16x16-medium"],
+        ids=["4x5-small", "4x5-medium", "8x6-medium", "16x16-medium",
+             "4x5-medium-scop"],
     )
-    def test_anneal_matches_golden(self, rows, cols, link_class, steps, golden):
+    def test_anneal_matches_golden(
+        self, rows, cols, link_class, steps, objective, golden
+    ):
         cfg = NetSmithConfig(
             layout=Layout(rows=rows, cols=cols), link_class=link_class,
             radix=4,
         )
-        g = anneal_topology(cfg, steps=steps, seed=0)
+        g = anneal_topology(cfg, objective=objective, steps=steps, seed=0)
         assert (g.objective, _digest(g.objective, g.topology.directed_links)) == golden
 
     @pytest.mark.parametrize(
