@@ -216,8 +216,10 @@ def encode_table(table) -> CanonicalDoc:
     dict form is O(n² · avg_hops) — and decode back to the CSR class.
 
     The doc is built at most once per table and memoized on it, like the
-    table's compiled form, so every payload on one table shares it;
-    callers must not mutate it.
+    table's compiled form, so every payload on one table shares it, and
+    with it the doc's memoized JSON text and digest: a run encodes each
+    table once, however many task keys embed it.  Callers must not
+    mutate it.
     """
     doc = table.__dict__.get("_table_doc")
     if doc is None:
@@ -288,7 +290,12 @@ _TABLE_MEMO_MAX = 8
 
 
 def cached_table(doc: Dict[str, Any]) -> RoutingTable:
-    """Decode a table doc through the per-worker memo."""
+    """Decode a table doc through the per-worker memo.
+
+    The hash of a :class:`~repro.runner.hashing.CanonicalDoc` is the
+    digest it carries (across a pickle too), so the lookup hashes
+    nothing.
+    """
     from .hashing import config_hash
 
     key = config_hash(doc)

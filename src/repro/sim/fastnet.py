@@ -40,18 +40,25 @@ structures:
 * **per-slot snooze timers** — a head blocked until a provable cycle
   (its own arrival time, the requested output channel's busy timer, the
   ejection port's busy timer) records that cycle in ``snooze[slot]``;
-  until then each revisit costs one integer compare.  Busy timers are
-  monotone, so a snoozed head can never miss the first cycle at which
-  the reference would have granted it;
+  until then each revisit costs one integer compare.  A record that
+  becomes a head (enqueued into an empty VC, or promoted from a tail)
+  gets the later of its arrival and its output's busy expiry at once.
+  Busy timers are monotone, so a snoozed head can never miss the first
+  cycle at which the reference would have granted it;
 * **runnable-router bitmask with a timer wheel** — arbitration visits
   only routers in the ``runnable`` mask (ascending bit order — the
-  reference's same-cycle credit propagation order).  A router whose
-  every queued head is provably idle until a known cycle parks itself in
-  a cycle-indexed wheel and is re-armed when that cycle arrives, when a
-  packet arrives for it, or when downstream credit it was blocked on is
-  released (pops re-arm the upstream router only if a grant actually
-  failed on that buffer — ``cwait``).  Skipped cycles are exactly the
-  cycles in which the reference arbitration would have been a no-op;
+  reference's same-cycle credit propagation order).  Each visit ends
+  with the router's next possible grant cycle: the earliest head
+  timer, the new busy expiry of every output it granted while other
+  requesters lost, and the snooze of every head it promoted.  A router
+  that cannot grant on the next cycle parks itself in a cycle-indexed
+  wheel until then, whether or not it acted, and is re-armed when that
+  cycle arrives, when a new head arrives for it (at the head's snooze;
+  a tail append cannot act before its head leaves), or when downstream
+  credit it was blocked on is released (pops re-arm the upstream router
+  only if a grant actually failed on that buffer — ``cwait``).  Skipped
+  cycles are exactly the cycles in which the reference arbitration
+  would have been a no-op;
 * **fused batch loop** — generation, injection, and arbitration for a
   whole ``run`` segment execute inside one loop frame
   (:meth:`_run_cycles`), so the ~30 hot state containers bind to locals
@@ -62,7 +69,8 @@ This engine is the workhorse behind sweeps, saturation searches and
 the closed loop (``engine="fast"``).  It also counts the flits each
 directed link carries (:attr:`FastNetworkSimulator.link_flits`), the
 per-link activity :func:`~repro.sim.stats.measure_activity` hands to
-the power model.
+the power model, and its own router visits
+(:attr:`FastNetworkSimulator.router_visits`).
 
 One caveat of trace-fed generation: the simulator's Generator is
 consumed in pre-drawn chunks, so mutating ``sim.rate`` mid-run diverges
@@ -358,6 +366,9 @@ class FastNetworkSimulator:
         #: Flits granted onto each directed link (topology order) since
         #: cycle 0, warmup included — the per-link activity counter.
         self.link_flits = [0] * L
+        #: Router arbitration visits since cycle 0 (a cost counter, like
+        #: ``link_flits`` outside :class:`SimStats`).
+        self.router_visits = 0
         self.rr = [0] * L
         self.inj_busy = [0] * n
         self.ej_busy = [0] * n
@@ -531,6 +542,7 @@ class FastNetworkSimulator:
         lat_sum = self.lat_sum
         lat_count = self.lat_count
         in_flight = self.in_flight
+        visits = 0
 
         while cycle < end:
             # -- generation: drain this cycle's precomputed arrivals (the
@@ -609,16 +621,22 @@ class FastNetworkSimulator:
                     rec = (ready, key, size, node, dst, birth)
                     bit = 1 << vc
                     if masks[base] & bit:
+                        # A tail record cannot act before its head
+                        # leaves, which takes a visit of this router.
                         tail[slot].append(rec)
                     else:
                         masks[base] |= bit
                         heads[slot] = rec
-                        snooze[slot] = ready
-                    if ready < wake[node]:
-                        # The node's router sleeps past this packet's
-                        # arrival: re-arm it at the arrival cycle.
-                        wake[node] = ready
-                        wheel[ready] = wheel_get(ready, 0) | lsb
+                        # A new head waits for its arrival and for the
+                        # output it requests to free.
+                        b = busy_until[key] if key >= 0 else ej_busy[node]
+                        snz = ready if ready >= b else b
+                        snooze[slot] = snz
+                        if snz < wake[node]:
+                            # The node's router sleeps past that cycle:
+                            # re-arm it then.
+                            wake[node] = snz
+                            wheel[snz] = wheel_get(snz, 0) | lsb
 
             # -- switching: runnable routers in ascending index order
             # (the reference's same-cycle credit propagation order).
@@ -639,6 +657,7 @@ class FastNetworkSimulator:
                     break
                 u += (m_live & -m_live).bit_length()
                 ubit = 1 << u
+                visits += 1
                 # Scan this router's occupied input queues in the
                 # reference order and bucket ready heads per requested
                 # output channel (-1 = the ejection port).  Outputs
@@ -695,23 +714,19 @@ class FastNetworkSimulator:
                                 requests[key] = [slot]
                             else:
                                 lst.append(slot)
-                if requests is None:
-                    if k1 == _NO_KEY:
-                        # Every queued head is pinned down by a
-                        # deterministic timer: park the router until the
-                        # earliest timer (arrivals and credit releases
-                        # re-arm it early), skipping exactly the no-op
-                        # cycles.
-                        runnable ^= ubit
-                        wake[u] = wake_t
-                        if wake_t != _NEVER:
-                            wheel[wake_t] = wheel_get(wake_t, 0) | ubit
-                        continue
+                if requests is not None:
+                    items = requests.items()
+                elif k1 == _NO_KEY:
+                    items = ()
+                else:
                     one[0] = s1
                     items = ((k1, one),)
-                else:
-                    items = requests.items()
-                acted = False
+                # Grants lower ``wake_t`` to the router's next possible
+                # grant cycle: requesters that lost an output retry once
+                # it frees, and a head promoted from a tail waits for
+                # its arrival and its output.  Requesters of an output
+                # that granted nothing were all credit-blocked; ``cwait``
+                # re-arms the router for them.
                 for key, reqs in items:
                     if key < 0:
                         # Ejection port: serialized, one grant per cycle.
@@ -724,11 +739,22 @@ class FastNetworkSimulator:
                             slot = reqs[start]
                         rec = heads[slot]
                         size = rec[2]
+                        done = cycle + size
+                        ej_busy[u] = done
+                        if nr > 1 and done < wake_t:
+                            wake_t = done
                         t = tail[slot]
                         if t:
                             nxt_rec = t.popleft()
                             heads[slot] = nxt_rec
-                            snooze[slot] = nxt_rec[0]
+                            nk = nxt_rec[1]
+                            b = busy_until[nk] if nk >= 0 else done
+                            snz = nxt_rec[0]
+                            if b > snz:
+                                snz = b
+                            snooze[slot] = snz
+                            if snz < wake_t:
+                                wake_t = snz
                         else:
                             masks[slot_qbase[slot]] &= slot_clear[slot]
                         free[slot] += size
@@ -741,8 +767,6 @@ class FastNetworkSimulator:
                             # re-arm that router and unpark the output.
                             cwait[slot] = 0
                             runnable |= 1 << slot_src[slot]
-                        acted = True
-                        ej_busy[u] = cycle + size
                         ej_rr[u] = start + 1
                         in_flight -= 1
                         if measuring:
@@ -754,7 +778,7 @@ class FastNetworkSimulator:
                             ejected_flits += size
                             birth = rec[5]
                             if birth >= measure_start:
-                                lat_sum += cycle + size - birth
+                                lat_sum += done - birth
                                 lat_count += 1
                         if eject_fn is not None:
                             in_flight, due = eject_fn(
@@ -777,11 +801,22 @@ class FastNetworkSimulator:
                         if free[oslot] < size:
                             cwait[oslot] = 1
                             continue
+                        done = cycle + size
+                        busy_until[out] = done
+                        if nr > 1 and done < wake_t:
+                            wake_t = done
                         t = tail[slot]
                         if t:
                             nxt_rec = t.popleft()
                             heads[slot] = nxt_rec
-                            snooze[slot] = nxt_rec[0]
+                            nk = nxt_rec[1]
+                            b = busy_until[nk] if nk >= 0 else ej_busy[u]
+                            snz = nxt_rec[0]
+                            if b > snz:
+                                snz = b
+                            snooze[slot] = snz
+                            if snz < wake_t:
+                                wake_t = snz
                         else:
                             masks[slot_qbase[slot]] &= slot_clear[slot]
                         free[slot] += size
@@ -790,10 +825,7 @@ class FastNetworkSimulator:
                         elif cwait[slot]:
                             cwait[slot] = 0
                             runnable |= 1 << slot_src[slot]
-                        acted = True
                         free[oslot] -= size
-                        done = cycle + size
-                        busy_until[out] = done
                         link_flits[out] += size
                         v = ch_dst[out]
                         src = rec[3]
@@ -812,22 +844,22 @@ class FastNetworkSimulator:
                         else:
                             masks[out_base] |= bit
                             heads[oslot] = nrec
-                            snooze[oslot] = ready
+                            b = busy_until[nkey] if nkey >= 0 else ej_busy[v]
+                            snz = ready if ready >= b else b
+                            snooze[oslot] = snz
+                            if snz < wake[v]:
+                                # The downstream router sleeps past
+                                # that cycle: re-arm it then.
+                                wake[v] = snz
+                                wheel[snz] = wheel_get(snz, 0) | (1 << v)
                         nxt = start + k + 1
                         rr[out] = nxt - nr if nxt >= nr else nxt
-                        if ready < wake[v]:
-                            # The downstream router sleeps past this
-                            # packet's arrival: re-arm it then.
-                            wake[v] = ready
-                            wheel[ready] = wheel_get(ready, 0) | (1 << v)
                         break
-                if not acted:
-                    # Requests existed but every one was credit-blocked:
-                    # no state changed (the reference leaves round-robin
-                    # pointers alone on failed grants), and each blocking
-                    # condition re-arms this router — timers via the
-                    # wheel, downstream credit via ``cwait``, new
-                    # arrivals via the enqueue wake.
+                if wake_t > cycle + 1:
+                    # No head can be granted next cycle: park the router
+                    # until its next possible grant, skipping exactly the
+                    # no-op cycles.  Arrivals of new heads re-arm it at
+                    # their own bound, and credit releases via ``cwait``.
                     runnable ^= ubit
                     wake[u] = wake_t
                     if wake_t != _NEVER:
@@ -849,6 +881,7 @@ class FastNetworkSimulator:
         self.lat_count = lat_count
         self.in_flight = in_flight
         self.lost = lost
+        self.router_visits += visits
 
     # -- fault epochs ----------------------------------------------------------
     def _advance(self, ncycles: int) -> None:

@@ -17,15 +17,18 @@ bit-identical to the oracle:
 
 Two generation paths share one buffered raw-word stream:
 
-* the **vectorized path** (sub-unit rates, every reachable ``integers``
-  bound ``>= 2``) exploits constant per-packet word consumption: a cheap
-  per-cycle prefix-sum walk pins each cycle's buffer offset, then all
-  Bernoulli winners, destination draws (Lemire-32 with half-word cache
-  arithmetic), and size draws of a whole chunk resolve as array ops;
-* the **scalar-emulation path** (rates ``>= 1``, degenerate bounds, or
-  the one-in-billions Lemire rejection the vectorized path detects and
-  defers to) walks the same buffer with plain Python integer arithmetic
-  — still far cheaper than per-packet Generator calls.
+* the **vectorized path** (every reachable ``integers`` bound ``>= 2``;
+  any rate without burst modulation, sub-unit effective rates with it)
+  exploits constant per-packet word consumption: a cheap per-cycle
+  prefix-sum walk pins each cycle's buffer offset, then all packets
+  (each node's whole part plus its Bernoulli winner), destination draws
+  (Lemire-32 with half-word cache arithmetic), and size draws of a
+  whole chunk resolve as array ops;
+* the **scalar-emulation path** (burst-modulated rates that can reach
+  1, degenerate bounds, or the one-in-billions Lemire rejection the
+  vectorized path detects and defers to) walks the same buffer with
+  plain Python integer arithmetic — still far cheaper than per-packet
+  Generator calls.
 
 Both read the pattern's :class:`~repro.sim.traffic.DestSpec`, which
 every :class:`~repro.sim.traffic.TrafficPattern` carries, so a trace is
@@ -109,12 +112,10 @@ class TraceStream:
             traffic.burst.state(n_nodes) if traffic.burst is not None else None
         )
         self._vec_ok = (
-            self.whole == 0
-            and (not self._has_int or spec.min_int_bound(n_nodes) >= 2)
-            and (
-                traffic.burst is None
-                or self.rate * traffic.burst.max_scale < 1.0
-            )
+            not self._has_int or spec.min_int_bound(n_nodes) >= 2
+        ) and (
+            traffic.burst is None
+            or (self.whole == 0 and self.rate * traffic.burst.max_scale < 1.0)
         )
         # Scalar-path lookup lists (built lazily on first use).
         self._scalar_tables: Optional[tuple] = None
@@ -153,9 +154,13 @@ class TraceStream:
         frac = self.frac
         extra = self._extra_dbl
         has_int = self._has_int
+        # Every node emits ``whole`` packets per cycle plus its Bernoulli
+        # winner (burst modulation keeps ``whole`` at zero).
+        whole_n = self.whole * n
         # Worst case one cycle: every node wins.
-        worst = n + n * extra + ((n + 1) // 2 + 1 if has_int else 0)
-        expect = n + int(n * frac * (extra + 1.5)) + 2
+        kmax = whole_n + n
+        worst = n + kmax * extra + ((kmax + 1) // 2 + 1 if has_int else 0)
+        expect = n + int(n * self.rate * (extra + 1.5)) + 2
         self._ensure(max(worst + 1, C * expect))
 
         V = self._buf[self._pos :]
@@ -181,7 +186,7 @@ class TraceStream:
         cyc = 0
         while cyc < C and pos + worst <= avail:
             if burst is None:
-                k = int(P[pos + n]) - int(P[pos])
+                k = whole_n + int(P[pos + n]) - int(P[pos])
             else:
                 k = int((D[pos : pos + n] < T[cyc]).sum())
             offs.append(pos)
@@ -203,10 +208,11 @@ class TraceStream:
             empty = np.empty(0, dtype=np.int64)
             return end_cycle, empty, empty, empty, empty
 
-        # All winners of the chunk, in (cycle, node) order.
+        # All packets of the chunk, in (cycle, node) order.
         idx = offs_a[:, None] + np.arange(n)
         Wm = (D[idx] < T[:cyc]) if burst is not None else W[idx]
-        rows, srcs = np.nonzero(Wm)
+        rows = np.repeat(np.arange(cyc), ks_a)
+        srcs = np.repeat(np.tile(np.arange(n), cyc), (Wm + self.whole).ravel())
         cycles = base_cycle + rows
         kstart = np.concatenate(([0], np.cumsum(ks_a)))
         r = np.arange(total) - kstart[rows]  # within-cycle packet rank

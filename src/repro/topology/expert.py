@@ -142,11 +142,14 @@ def kite(layout: Layout, size: str) -> Topology:
     that most reduces total pair distance, preferring longer spans first
     (the Kite signature), under the radix-4 port budget.
 
-    Each iteration computes the hop matrix ``d`` once and scores a
-    candidate link ``(a, b)`` by the exact one-link relaxation
-    ``min(d, d[:, a] + 1 + d[b, :], d[:, b] + 1 + d[a, :])``: a shortest
-    path crosses a new link at most once.  Hop counts are small integers,
-    so the float sums are exact and match a full APSP per candidate.
+    Every admissible candidate link ``(a, b)`` is scored at once by the
+    exact one-link relaxation ``min(d, d[:, a] + 1 + d[b, :], d[:, b] +
+    1 + d[a, :])`` of the current hop matrix ``d``, one ``(C, n, n)``
+    broadcast per added link: a shortest path crosses a new link at most
+    once.  Hop counts are small integers, so the float sums are exact
+    and match a full APSP per candidate, and the first maximum gain in
+    long-first order is the pick a sequential ``gain > best`` scan makes.
+    The chosen link's relaxation is the next ``d``, by the same argument.
     """
     if size not in _KITE_CLASS_SPANS:
         raise ValueError(f"kite size must be small/medium/large, got {size!r}")
@@ -172,30 +175,38 @@ def kite(layout: Layout, size: str) -> Topology:
                         b = layout.router_at(nx, ny)
                         if a < b:
                             allowed.add((a, b))
+    # Long-first candidate order (stable, so equal spans keep the set's
+    # order); ties go to the longer link.
+    order = sorted(allowed, key=lambda e: -layout.length(*e))
 
+    deg = [0] * layout.n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    d = Topology.from_undirected(layout, edges).hop_matrix()
     while True:
-        deg = [0] * layout.n
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        d = Topology.from_undirected(layout, edges).hop_matrix()
-        base = float(d.sum())
-        best_gain, best_edge = 0.0, None
-        candidates = sorted(
-            (e for e in allowed if e not in edges),
-            key=lambda e: -layout.length(*e),
-        )
-        for a, b in candidates:
-            if deg[a] >= RADIX or deg[b] >= RADIX:
-                continue
-            via = np.minimum(d[:, a, None] + d[b], d[:, b, None] + d[a]) + 1
-            gain = base - float(np.minimum(d, via).sum())
-            # prefer longer links on ties: candidates are pre-sorted long-first
-            if gain > best_gain + 1e-9:
-                best_gain, best_edge = gain, (a, b)
-        if best_edge is None:
+        cands = [
+            (a, b) for a, b in order
+            if (a, b) not in edges and deg[a] < RADIX and deg[b] < RADIX
+        ]
+        if not cands:
             break
-        edges.add(best_edge)
+        A, B = np.array(cands).T
+        dA = d[:, A].T  # (C, n): column a of d per candidate
+        dB = d[:, B].T
+        via = np.minimum(
+            dA[:, :, None] + d[B][:, None, :], dB[:, :, None] + d[A][:, None, :]
+        ) + 1
+        relaxed = np.minimum(d, via)
+        gains = float(d.sum()) - relaxed.sum(axis=(1, 2))
+        best = int(np.argmax(gains))
+        if gains[best] <= 1e-9:
+            break
+        a, b = cands[best]
+        edges.add((a, b))
+        deg[a] += 1
+        deg[b] += 1
+        d = relaxed[best]
 
     return Topology.from_undirected(
         layout, sorted(edges), name=f"Kite-{size.capitalize()}", link_class=size

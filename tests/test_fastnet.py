@@ -13,6 +13,7 @@ from network_oracle import (
     NetworkSimulator,
     register_reference,
 )
+from repro.experiments.registry import NDBT, routed_table
 from repro.faults import parse_faults
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.sim import (
@@ -34,7 +35,7 @@ from repro.sim import (
     transpose,
     uniform_random,
 )
-from repro.topology import LAYOUT_4X5, Layout, folded_torus, mesh
+from repro.topology import LAYOUT_4X5, Layout, expert_topology, folded_torus, mesh
 
 
 @pytest.fixture(autouse=True)
@@ -246,6 +247,81 @@ class TestFastEngineBehaviour:
         assert stats_a.ejected_packets == b.ejected
         assert stats_a.latency_sum == b.lat_sum
         assert stats_a.offered_packets == b.offered
+
+
+@pytest.fixture(scope="module")
+def kite_small():
+    """Kite-Small-20 routed by NDBT (seed 0), as in the fig6 small class."""
+    return routed_table(
+        expert_topology("Kite-Small", 20), NDBT, seed=0, use_cache=False,
+    )
+
+
+class TestRouterParking:
+    """Router visits: a cost counter outside SimStats, and end-of-visit
+    parking that never sleeps past a possible grant."""
+
+    def test_visit_count_after_parking(self, kite_small):
+        """An acting router whose heads are all pinned parks instead of
+        being scanned again next cycle: the run makes 10148 visits,
+        bounded here at 0.8 x 13514, the count without that parking."""
+        sim = FastNetworkSimulator(kite_small, uniform_random(20), 0.2, seed=0)
+        stats = sim.run(250, 800)
+        assert 0 < sim.router_visits <= 10811
+        assert not hasattr(stats, "router_visits")
+
+    def test_acting_router_parks_until_its_next_grant(self, kite_small):
+        """Buffers too deep to ever block on credit, so only timers hold
+        a head back.  After each cycle, a router that granted knows each
+        remaining head's next possible grant: a new head's snooze (no
+        earlier than the next cycle), an old head's snooze if still
+        pending, else (a requester that lost) the new busy expiry of the
+        output it lost.  If none is the next cycle, the router is not
+        runnable and waits in the wheel at the earliest of them.  Every
+        parked router wakes no later than any head's true bound."""
+        sim = FastNetworkSimulator(
+            kite_small, uniform_random(20), 0.3, seed=0, vc_buffer_flits=10**6,
+        )
+        cn = sim.cn
+        outs = [[ch for ch in range(cn.num_links) if cn.ch_src[ch] == u]
+                for u in range(sim.n)]
+        parked_after_grant = 0
+        for _ in range(400):
+            c = sim.cycle
+            busy = list(sim.busy_until)
+            ej = list(sim.ej_busy)
+            before = list(sim.heads)
+            sim.step()
+            for u in range(sim.n):
+                known, true = [], []
+                for base in cn.in_bases[u]:
+                    for vc in cn.vcs_of[sim.masks[base]]:
+                        slot = base + vc
+                        head = sim.heads[slot]
+                        ready, key = head[:2]
+                        freed = sim.busy_until[key] if key >= 0 else sim.ej_busy[u]
+                        snooze = sim.snooze[slot]
+                        if head is not before[slot]:
+                            known.append(max(snooze, c + 1))
+                        else:
+                            known.append(snooze if snooze > c else freed)
+                        true.append(max(ready, freed))
+                ubit = 1 << u
+                if not sim.runnable & ubit:
+                    assert c < sim.wake[u] <= min(true, default=sim.wake[u])
+                    if true:
+                        assert sim.wheel[sim.wake[u]] & ubit
+                granted = ej[u] != sim.ej_busy[u] or any(
+                    busy[ch] != sim.busy_until[ch] for ch in outs[u]
+                )
+                if granted and known and min(known) > c + 1:
+                    assert not sim.runnable & ubit
+                    assert sim.wake[u] == min(known)
+                    assert sim.wheel[sim.wake[u]] & ubit
+                    parked_after_grant += 1
+                elif granted and known:
+                    assert sim.runnable & ubit
+        assert parked_after_grant > 100
 
 
 class TestThroughputAccounting:

@@ -167,6 +167,79 @@ def test_payloads_on_one_table_share_one_doc(golden_tables, monkeypatch):
         "kite_small_ndbt"]["table"]
 
 
+def test_payloads_on_one_table_encode_its_doc_once(golden_tables, monkeypatch):
+    """Twelve PARSEC payloads on one table: their task keys and their
+    ``cached_table`` lookups encode the table doc's JSON once in all
+    (each key and each lookup used to encode it again)."""
+    table = golden_tables["kite_small_ndbt"]
+    table.__dict__.pop("_table_doc", None)
+    payloads = [
+        runner_tasks.closed_loop_payload(table, w, "small", 100, 300, 0)
+        for w in PARSEC
+    ]
+    doc = payloads[0]["table"]
+
+    def holds_doc(obj):
+        if obj is doc:
+            return True
+        if isinstance(obj, dict):
+            return any(holds_doc(v) for v in obj.values())
+        if isinstance(obj, (list, tuple)):
+            return any(holds_doc(v) for v in obj)
+        return False
+
+    encodes = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        if holds_doc(obj):
+            encodes.append(1)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    keys = {task_key("closed_loop", p) for p in payloads}
+    tables = {id(runner_tasks.cached_table(p["table"])) for p in payloads}
+    monkeypatch.undo()
+    assert len(keys) == 12 and len(tables) == 1
+    assert len(encodes) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+def test_golden_keys_cold_warm_and_pickled(golden_tables, name):
+    """Keys hold whether the doc's text is built by the key (cold memo),
+    reused (warm memo), or absent after a pickle round trip, which
+    carries only the doc's digest."""
+    table = golden_tables[name]
+    table.__dict__.pop("_table_doc", None)
+    golden = GOLDEN_KEYS[name]
+    cold = {fam: task_key(fam, p) for fam, p in _key_payloads(table).items()}
+    warm = {fam: task_key(fam, p) for fam, p in _key_payloads(table).items()}
+    assert cold == warm == {k: v for k, v in golden.items() if k != "table"}
+    for fam, payload in _key_payloads(table).items():
+        back = pickle.loads(pickle.dumps(payload))
+        doc = back["table"]
+        assert type(doc) is CanonicalDoc and doc._text is None
+        assert doc.digest() == golden["table"]
+        assert doc._text is None  # the digest arrived with the doc
+        assert task_key(fam, back) == golden[fam]
+        assert runner_tasks.cached_table(doc).num_vcs == table.num_vcs
+
+
+def test_canonical_json_splices_docs_exactly():
+    """A doc spliced into the text of the object around it reads as the
+    walk would encode it, also beside strings that hold the mark."""
+    doc = CanonicalDoc({"b": [1, 2], "a": {"z": None, "y": 1.5}})
+    for obj in (
+        doc,
+        {"t": doc, "u": [doc, "x"]},
+        {"t": doc, "s": "\x00" + "0"},
+        {"t": doc, "s": "\\u0000" + "0"},
+        [doc, {"k": (doc,)}],
+    ):
+        assert canonical_json(obj) == hashing_oracle.canonical_json(obj)
+        assert config_hash(obj) == hashing_oracle.config_hash(obj)
+
+
 def test_every_task_family_has_a_version():
     """Each family keys its cache entries with its own version, so a
     bump orphans only that family's entries."""

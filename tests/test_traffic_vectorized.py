@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.sim import TraceStream
+from repro.sim.rngstream import take_raw
 from repro.sim.traffic import (
     TrafficPattern,
     bit_complement,
@@ -139,6 +140,8 @@ class TestTraceStreamMatchesReference:
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, 2.25])
     def test_super_unit_rates_scalar_path(self, rate):
+        """Rates >= 1 (a whole part per node plus a Bernoulli winner)
+        against the reference stream."""
         pat = uniform_random(20)
         ref = reference_event_stream(pat, 20, rate, 9, 60)
         got = trace_event_stream(pat, 20, rate, 9, 60, chunk_cycles=16)
@@ -168,6 +171,38 @@ class TestTraceStreamMatchesReference:
                 assert ca[0] == cb[0]
                 for xa, xb in zip(ca[1:], cb[1:]):
                     assert np.array_equal(xa, xb), pat.name
+
+    @staticmethod
+    def _next_word(stream):
+        """The next raw word ``stream`` will read: its buffer position,
+        independent of how far it pre-drew."""
+        if stream._pos < stream._buf.size:
+            return int(stream._buf[stream._pos])
+        g = np.random.default_rng()
+        g.bit_generator.state = stream.rng.bit_generator.state
+        return int(take_raw(g, 1)[0])
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, 2.0])
+    def test_super_unit_rates_vectorized_match_scalar(self, rate):
+        """Rates >= 1 take the vectorized path; chunk by chunk it gives
+        the scalar emulation's events, stream position and half-word
+        cache.  Chunks of 5 cycles cross many chunk boundaries."""
+        for pat in (uniform_random(20), memory_traffic(LAYOUT_4X5),
+                    hotspot(20, LAYOUT_4X5.mc_routers()), tornado(LAYOUT_4X5)):
+            a = TraceStream(pat, 20, rate, np.random.default_rng(4), chunk_cycles=5)
+            b = TraceStream(pat, 20, rate, np.random.default_rng(4), chunk_cycles=5)
+            assert a._vec_ok
+            b._vec_ok = False  # force scalar emulation
+            for _ in range(12):
+                ca = a._chunk_vectorized(5)
+                cb = b.next_chunk()
+                assert ca is not None and ca[0] == cb[0]
+                for xa, xb in zip(ca[1:], cb[1:]):
+                    assert np.array_equal(xa, xb), (pat.name, rate)
+                assert self._next_word(a) == self._next_word(b)
+                assert a._cache_has == b._cache_has
+                if a._cache_has:
+                    assert a._cache_val == b._cache_val
 
     def test_larger_grid_memory_pattern(self):
         lay = Layout(rows=8, cols=6)
