@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from typing import Any, List, Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ _SEPARATORS = (",", ":")
 #: stand-in reads ``"\u0000<i>"`` in the encoded text.
 _MARK = "\x00"
 _MARK_JSON = "\\u0000"
+_MARK_RE = re.compile(r'"\\u0000(\d+)"')
 
 
 def _dumps(obj: Any) -> str:
@@ -143,9 +145,9 @@ def canonical_json(obj: Any) -> str:
         # A string of ``obj`` itself encodes to the mark's escape:
         # encode the docs in place instead (the same text, slower).
         return _dumps(canonicalize(obj))
-    for i, doc in enumerate(docs):
-        text = text.replace(f'"{_MARK_JSON}{i}"', doc.text(), 1)
-    return text
+    # One pass over the outer text: a spliced doc's own text is never
+    # searched for marks.
+    return _MARK_RE.sub(lambda m: docs[int(m.group(1))].text(), text)
 
 
 def config_hash(obj: Any) -> str:

@@ -169,8 +169,8 @@ def test_payloads_on_one_table_share_one_doc(golden_tables, monkeypatch):
 
 def test_payloads_on_one_table_encode_its_doc_once(golden_tables, monkeypatch):
     """Twelve PARSEC payloads on one table: their task keys and their
-    ``cached_table`` lookups encode the table doc's JSON once in all
-    (each key and each lookup used to encode it again)."""
+    ``cached_table`` lookups encode the table doc's JSON once in all,
+    not once per key and lookup."""
     table = golden_tables["kite_small_ndbt"]
     table.__dict__.pop("_table_doc", None)
     payloads = [
@@ -227,14 +227,17 @@ def test_golden_keys_cold_warm_and_pickled(golden_tables, name):
 
 def test_canonical_json_splices_docs_exactly():
     """A doc spliced into the text of the object around it reads as the
-    walk would encode it, also beside strings that hold the mark."""
+    walk would encode it, also beside strings that hold the mark, and
+    when a doc's own text holds another doc's mark."""
     doc = CanonicalDoc({"b": [1, 2], "a": {"z": None, "y": 1.5}})
+    marked = CanonicalDoc({"s": "\x00" + "1"})
     for obj in (
         doc,
         {"t": doc, "u": [doc, "x"]},
         {"t": doc, "s": "\x00" + "0"},
         {"t": doc, "s": "\\u0000" + "0"},
         [doc, {"k": (doc,)}],
+        {"t": marked, "u": doc},
     ):
         assert canonical_json(obj) == hashing_oracle.canonical_json(obj)
         assert config_hash(obj) == hashing_oracle.config_hash(obj)
