@@ -13,18 +13,25 @@ Two questions, both about the fault-tolerant execution layer (PR 9):
    is recorded so the perf trajectory of the recovery path is tracked
    across PRs.
 
+The faults come from the test-only harness ``tests/chaos_harness.py``.
 Results land in ``BENCH_supervision.json`` (schema: benchmarks/conftest):
 wall seconds per leg, overhead ratio, and the chaos leg's RunHealth
 counters.
 """
 
+import contextlib
+import os
+import sys
 import tempfile
 import time
 
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
-from repro.runner import ChaosSpec, Runner, TaskRetryPolicy
+from repro.runner import Runner, TaskRetryPolicy
 from repro.runner.tasks import TrafficSpec, sim_point_payload
 from repro.topology import Layout, Topology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
+from chaos_harness import ChaosSpec, armed  # noqa: E402  (test-only fault injector)
 
 RATES = (0.02, 0.06, 0.12)
 BUDGET = dict(warmup=80, measure=200, seed=0)
@@ -46,8 +53,9 @@ def _points(curve):
 
 
 def _sweep(table, cache_dir, retry=None, chaos=None, parallel=2):
-    with Runner(
-        parallel=parallel, cache_dir=cache_dir, retry=retry, chaos=chaos
+    injected = armed(chaos) if chaos is not None else contextlib.nullcontext()
+    with injected, Runner(
+        parallel=parallel, cache_dir=cache_dir, retry=retry
     ) as runner:
         t0 = time.perf_counter()
         curve = runner.curve(

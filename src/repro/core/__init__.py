@@ -11,8 +11,8 @@ from .netsmith import (
     generate_shufopt,
     shuffle_weights,
 )
-from .scop import SCOpDiagnostics, exhaustive_cut_constraints, generate_scop
-from .mclb import MCLBResult, MultipathResult, mclb_route, mclb_route_multipath
+from .scop import SCOpDiagnostics, generate_scop
+from .mclb import MCLBResult, mclb_route
 from .lpbt import LPBTConfig, build_lpbt_model, generate_lpbt
 from .progress import GapCurve, GapSample, record_progress_bnb, record_progress_scipy
 from .search import anneal_topology
@@ -28,11 +28,8 @@ __all__ = [
     "shuffle_weights",
     "generate_scop",
     "SCOpDiagnostics",
-    "exhaustive_cut_constraints",
     "MCLBResult",
     "mclb_route",
-    "mclb_route_multipath",
-    "MultipathResult",
     "LPBTConfig",
     "build_lpbt_model",
     "generate_lpbt",

@@ -16,9 +16,8 @@ We use whole-path binaries directly; the paper's C2/C3 (``link_used`` /
 ``path_used`` products) exist only to *derive* path selection from its
 four-dimensional ``flow_load`` primitive, and selecting paths directly is
 the tighter equivalent — ``flow_load[s][d][i][j]`` is recovered as the
-sum of selected paths of (s,d) crossing (i,j).  Demand weighting and
-fractional multi-path extensions are exposed as options, mirroring the
-paper's remarks.
+sum of selected paths of (s,d) crossing (i,j).  Demand weighting is
+exposed as an option, mirroring the paper's remarks.
 """
 
 from __future__ import annotations
@@ -52,15 +51,13 @@ def mclb_route(
     weights: Optional[np.ndarray] = None,
     time_limit: Optional[float] = 120.0,
     backend: str = "scipy",
-    fractional: bool = False,
     max_paths_per_pair: int = 64,
     **solve_kw,
 ) -> MCLBResult:
     """Select one minimal path per flow minimizing max channel load.
 
     ``weights[s, d]`` scales each flow's demand (uniform all-to-all when
-    omitted).  ``fractional=True`` relaxes path binaries to [0,1],
-    modeling the multi-path/fractional extension the paper mentions.
+    omitted).
     """
     if path_set is None:
         path_set = enumerate_shortest_paths(topo, max_paths_per_pair=max_paths_per_pair)
@@ -76,10 +73,7 @@ def mclb_route(
         plist = path_set[sd]
         flow_vars = []
         for k, p in enumerate(plist):
-            if fractional:
-                v = model.add_var(f"p[{sd},{k}]", lb=0.0, ub=1.0)
-            else:
-                v = model.add_binary(f"p[{sd},{k}]")
+            v = model.add_binary(f"p[{sd},{k}]")
             sel[(sd, k)] = v
             flow_vars.append(v)
             npaths += 1
@@ -102,13 +96,7 @@ def mclb_route(
     chosen: Dict[Tuple[int, int], List[Path]] = {}
     for sd in path_set.pairs():
         plist = path_set[sd]
-        if fractional:
-            # keep the largest-share path as the representative route
-            best = max(range(len(plist)), key=lambda k: res.value(sel[(sd, k)]))
-        else:
-            best = next(
-                k for k in range(len(plist)) if res.value(sel[(sd, k)]) > 0.5
-            )
+        best = next(k for k in range(len(plist)) if res.value(sel[(sd, k)]) > 0.5)
         chosen[sd] = [plist[best]]
 
     routes = PathSet(topology=topo, paths=chosen)
@@ -118,80 +106,4 @@ def mclb_route(
         status=res.status,
         solve_time_s=res.solve_time_s,
         num_paths_considered=npaths,
-    )
-
-
-@dataclass
-class MultipathResult:
-    """Fractional multi-path routing (the paper's C4 relaxation remark)."""
-
-    weights: Dict[Tuple[Tuple[int, int], Path], float]  # (flow, path) -> share
-    max_channel_load: float
-    status: str
-
-    def flow_paths(self, s: int, d: int) -> List[Tuple[Path, float]]:
-        return [
-            (p, w) for (sd, p), w in self.weights.items() if sd == (s, d) and w > 0
-        ]
-
-    def channel_loads(self) -> Dict[Channel, float]:
-        loads: Dict[Channel, float] = {}
-        for (sd, p), w in self.weights.items():
-            if w <= 0:
-                continue
-            for k in range(len(p) - 1):
-                link = (p[k], p[k + 1])
-                loads[link] = loads.get(link, 0.0) + w
-        return loads
-
-
-def mclb_route_multipath(
-    topo: Topology,
-    path_set: Optional[PathSet] = None,
-    weights: Optional[np.ndarray] = None,
-    time_limit: Optional[float] = 60.0,
-    max_paths_per_pair: int = 64,
-    min_share: float = 1e-6,
-    **solve_kw,
-) -> MultipathResult:
-    """Optimal *fractional* multi-path MCLB (pure LP, so fast and exact).
-
-    Splits each flow's unit demand across its minimal paths to minimize
-    the maximum channel load — the lower bound that single-path MCLB
-    approaches, and the config the paper notes C4 'can be modified to
-    accommodate'.
-    """
-    if path_set is None:
-        path_set = enumerate_shortest_paths(topo, max_paths_per_pair=max_paths_per_pair)
-    path_set.validate()
-
-    model = Model(f"mclb-frac-{topo.name}", sense=MINIMIZE)
-    share: Dict[Tuple[Tuple[int, int], Path], object] = {}
-    per_channel: Dict[Channel, list] = {}
-    for sd in path_set.pairs():
-        w = 1.0 if weights is None else float(weights[sd[0], sd[1]])
-        flow_vars = []
-        for k, p in enumerate(path_set[sd]):
-            v = model.add_var(f"f[{sd},{k}]", lb=0.0, ub=1.0)
-            share[(sd, p)] = v
-            flow_vars.append(v)
-            if w > 0:
-                for link in path_set.links_of(p):
-                    per_channel.setdefault(link, []).append(w * v)
-        model.add_constr(quicksum(flow_vars) == 1)
-    ctotal = model.add_var("Ctotal", lb=0.0)
-    for link, terms in per_channel.items():
-        model.add_constr(ctotal >= quicksum(terms))
-    model.set_objective(ctotal)
-    res = model.solve(time_limit=time_limit, **solve_kw)
-    if not res.ok:
-        raise RuntimeError(f"fractional MCLB failed ({res.status})")
-    out = {
-        key: (res.value(v) if res.value(v) > min_share else 0.0)
-        for key, v in share.items()
-    }
-    return MultipathResult(
-        weights=out,
-        max_channel_load=float(res.objective),
-        status=res.status,
     )

@@ -4,12 +4,13 @@ The formulation follows Table I:
 
 * ``M(i,j)`` — binary connectivity map over the valid-link set ``L`` (C3);
 * ``O(k,j)`` — one-hop distance, the exact affine encoding
-  ``BIG - (BIG-1) * M(k,j)`` of the paper's if-then C4;
+  ``BIG - (BIG-1) * M(k,j)`` of the paper's if-then C4
+  (:func:`~repro.milp.affine_if_then`);
 * ``D(i,j)`` — integer shortest-path distances, constrained to equal
   ``min_k (D(i,k) + O(k,j))`` by the triangle-inequality construction C5
   (upper bounds for every candidate predecessor ``k`` plus big-M
   attainment indicators — the encoding behind Gurobi's min general
-  constraint);
+  constraint, :func:`~repro.milp.add_min_equality`);
 * radix (C2), self-adjacency (C1), optional diameter bound (C8) and
   optional link symmetry (C9).
 
@@ -34,6 +35,8 @@ from ..milp import (
     Model,
     SolveResult,
     Var,
+    add_min_equality,
+    affine_if_then,
     quicksum,
 )
 from ..topology import Layout, Topology
@@ -200,36 +203,27 @@ def build_distance_formulation(config: NetSmithConfig, sense: str = MINIMIZE) ->
                 d_vars[(i, j)] = model.add_integer(f"D[{i},{j}]", lb=1, ub=diam)
 
     def one_hop(k: int, j: int):
-        """O(k,j) = 1 if M(k,j) else BIG (exact affine form of C4)."""
-        mv = m_vars[(k, j)]
-        # big_o - (big_o - 1) * M
-        return big_o - (big_o - 1) * mv
+        """C4: O(k,j) = 1 if M(k,j) else BIG."""
+        return affine_if_then(m_vars[(k, j)], then_value=1, else_value=big_o)
 
-    # C5: triangle-inequality min-equality per ordered pair.
+    # C5: D(i,j) = min over predecessors k of D(i,k) + O(k,j), per
+    # ordered pair (D(i,i) = 0 makes k == i the direct-link term).
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             dij = d_vars[(i, j)]
             preds = [k for k in range(n) if (k, j) in link_set and k != j]
-            zs = []
-            for k in preds:
-                if k == i:
-                    term = one_hop(i, j)  # D(i,i)=0: direct-link special case
-                else:
-                    term = d_vars[(i, k)] + one_hop(k, j)
-                model.add_constr(dij <= term, name=f"tri_ub[{i},{j},{k}]")
-                z = model.add_binary(f"tri_z[{i},{j},{k}]")
-                model.add_constr(
-                    dij >= term - big_m * (1 - z), name=f"tri_lb[{i},{j},{k}]"
-                )
-                zs.append(z)
-            if not zs:
+            if not preds:
                 raise ValueError(
                     f"router {j} has no valid incoming links under class "
                     f"{config.link_class!r}"
                 )
-            model.add_constr(quicksum(zs) >= 1, name=f"tri_attain[{i},{j}]")
+            terms = [
+                one_hop(i, j) if k == i else d_vars[(i, k)] + one_hop(k, j)
+                for k in preds
+            ]
+            add_min_equality(model, dij, terms, big_m, name=f"tri[{i},{j}]")
             # Strengthening: without a direct link, the distance is >= 2.
             if (i, j) in link_set:
                 model.add_constr(dij >= 2 - m_vars[(i, j)], name=f"cut2[{i},{j}]")

@@ -13,9 +13,9 @@ standard equivalent — **lazy constraint generation**:
    asymmetric-link rule) and re-solve.
 
 At termination the incumbent satisfies every cut constraint the
-exhaustive model would impose, so the fixpoint is the same; an ablation
-benchmark validates this equivalence against explicit enumeration on
-small instances.
+exhaustive model would impose, so the fixpoint is the same; the tests
+check this equivalence against explicit enumeration of every row on a
+tiny instance (``tests/scop_oracle.py``).
 
 A small latency tie-break (``hop_penalty * Dtotal``) is subtracted from
 the objective so that, among equal-bandwidth optima, low-hop designs are
@@ -166,36 +166,3 @@ def generate_scop(
         true_b=float(true_val),
     )
     return gen, diag
-
-
-def exhaustive_cut_constraints(
-    handles: FormulationHandles, b_var, max_n: int = 12
-) -> int:
-    """Materialize *all* C6 cut rows explicitly (ablation reference).
-
-    Only sensible for tiny instances; returns the number of cuts added.
-    Used to validate that lazy generation reaches the same optimum.
-    """
-    n = handles.config.layout.n
-    if n > max_n:
-        raise ValueError(f"exhaustive C6 enumeration capped at n={max_n}")
-    count = 0
-    for mask in range(0, 1 << (n - 1)):
-        u_mask = np.zeros(n, dtype=bool)
-        u_mask[0] = True
-        for k in range(1, n):
-            if (mask >> (k - 1)) & 1:
-                u_mask[k] = True
-        su = int(u_mask.sum())
-        sv = n - su
-        if sv == 0:
-            continue
-        scale = float(su * sv)
-        handles.model.add_constr(
-            scale * b_var <= _cut_expression(handles, u_mask, "uv")
-        )
-        handles.model.add_constr(
-            scale * b_var <= _cut_expression(handles, u_mask, "vu")
-        )
-        count += 1
-    return count

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..routing import throughput_bounds
 from ..routing.paths import PathSet
-from ..sim import MEAN_FLITS_PER_PACKET
 from ..topology import standard_layout
 from .registry import MCLB, NDBT, Entry, roster, routed_table
 
@@ -33,10 +32,6 @@ class Fig7Bar:
     cut_bound: float  # flits/node/cycle
     occupancy_bound: float
     routed_bound: float
-
-    @property
-    def measured_flits(self) -> float:
-        return self.measured_saturation * MEAN_FLITS_PER_PACKET
 
     @property
     def binding_bound(self) -> str:

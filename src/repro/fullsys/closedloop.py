@@ -230,10 +230,6 @@ class ClosedLoopStats:
         return self.rtt_sum / self.completed_requests
 
     @property
-    def request_throughput(self) -> float:
-        return self.completed_requests / (self.n_nodes * self.cycles)
-
-    @property
     def failed_fraction(self) -> float:
         """Failed transactions as a fraction of all issued ones."""
         if self.issued_requests == 0:

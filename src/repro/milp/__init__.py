@@ -24,14 +24,7 @@ from .expressions import (
     Var,
     quicksum,
 )
-from .linearize import (
-    add_and_equality,
-    add_implication,
-    add_max_equality,
-    add_max_upper_bound,
-    add_min_equality,
-    affine_if_then,
-)
+from .linearize import add_min_equality, affine_if_then
 from .model import (
     FEASIBLE,
     INFEASIBLE,
@@ -67,9 +60,5 @@ __all__ = [
     "UNBOUNDED",
     "NO_SOLUTION",
     "add_min_equality",
-    "add_max_equality",
-    "add_max_upper_bound",
-    "add_and_equality",
-    "add_implication",
     "affine_if_then",
 ]

@@ -1,5 +1,5 @@
 """Linearization helpers: big-M encodings of logic the paper writes as
-Gurobi "general constraints" (if-then, min-equality, AND).
+Gurobi "general constraints" (if-then, min-equality).
 
 NetSmith's Table I uses two non-linear idioms:
 
@@ -72,69 +72,3 @@ def add_min_equality(
         zs.append(z)
     model.add_constr(quicksum(zs) >= 1, name=f"{name}_attain")
     return zs
-
-
-def add_max_equality(
-    model: Model,
-    target: Var,
-    terms: Sequence[ExprLike],
-    big_m: float,
-    name: str = "max",
-) -> List[Var]:
-    """Constrain ``target == max(terms)`` (dual of :func:`add_min_equality`)."""
-    if not terms:
-        raise ValueError("max over an empty set")
-    zs = []
-    for k, t in enumerate(terms):
-        te = _expr(t)
-        model.add_constr(target >= te, name=f"{name}_lb[{k}]")
-        z = model.add_binary(name=f"{name}_z[{k}]")
-        model.add_constr(target <= te + big_m * (1 - z), name=f"{name}_ub[{k}]")
-        zs.append(z)
-    model.add_constr(quicksum(zs) >= 1, name=f"{name}_attain")
-    return zs
-
-
-def add_max_upper_bound(
-    model: Model, target: Var, terms: Sequence[ExprLike], name: str = "maxub"
-) -> None:
-    """Constrain ``target >= max(terms)`` (sufficient when minimizing target).
-
-    This is the standard min-max trick used by MCLB's objective O1: the
-    equality half is unnecessary because the optimizer pushes ``target``
-    down onto the largest term.
-    """
-    for k, t in enumerate(terms):
-        model.add_constr(target >= _expr(t), name=f"{name}[{k}]")
-
-
-def add_and_equality(model: Model, target: Var, operands: Sequence[Var], name: str = "and") -> None:
-    """Constrain binary ``target == AND(operands)`` (all binary).
-
-    Used by MCLB's C3 (``path_used = product of link_used``).
-    """
-    for k, v in enumerate(operands):
-        model.add_constr(target <= v, name=f"{name}_le[{k}]")
-    model.add_constr(
-        target >= quicksum(operands) - (len(operands) - 1), name=f"{name}_ge"
-    )
-
-
-def add_implication(model: Model, antecedent: Var, consequent: ExprLike, name: str = "imp") -> None:
-    """Constrain ``antecedent == 1  =>  consequent >= 0`` via big-M-free form
-    when consequent's negative part is bounded by its own constant.
-
-    General form: callers should pass ``expr`` such that ``expr >= -M`` holds
-    structurally; we add ``expr >= -M * (1 - antecedent)`` with M inferred
-    from variable bounds when finite, else raise.
-    """
-    e = _expr(consequent)
-    # Conservative M from variable bounds.
-    m = abs(e.const)
-    for idx, coef in e.coeffs.items():
-        v = model.variables[idx]
-        lo = v.lb if coef > 0 else v.ub
-        if not (lo == lo and abs(lo) != float("inf")):
-            raise ValueError("cannot infer big-M: unbounded variable in implication")
-        m += abs(coef) * max(abs(v.lb), abs(v.ub))
-    model.add_constr(e >= -m * (1 - antecedent), name=name)

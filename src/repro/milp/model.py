@@ -139,9 +139,6 @@ class Model:
         self._constraints.append(constr)
         return constr
 
-    def add_constrs(self, constrs) -> List[Constraint]:
-        return [self.add_constr(c) for c in constrs]
-
     # -- objective ---------------------------------------------------------------
     def set_objective(self, expr, sense: Optional[str] = None) -> None:
         if isinstance(expr, Var):

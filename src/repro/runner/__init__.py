@@ -9,8 +9,7 @@ instead of recomputing.
 
 Execution is *supervised* (timeouts, bounded retries, pool-collapse
 recovery, poison-task quarantine — :mod:`~repro.runner.executor`),
-observable (:class:`RunHealth`), testable under injected faults
-(:mod:`~repro.runner.chaos`), and crash-safe (the sweep journal,
+observable (:class:`RunHealth`), and crash-safe (the sweep journal,
 :mod:`~repro.runner.journal`).
 
 Layers (see ``docs/ARCHITECTURE.md``):
@@ -19,7 +18,6 @@ Layers (see ``docs/ARCHITECTURE.md``):
 * :mod:`~repro.runner.cache` — atomic JSON store, hit/miss accounting;
 * :mod:`~repro.runner.executor` — supervised process-pool map, retry
   policy, health counters, seed derivation;
-* :mod:`~repro.runner.chaos` — deterministic fault-injection doubles;
 * :mod:`~repro.runner.journal` — crash-safe sweep journal (exact resume);
 * :mod:`~repro.runner.tasks` — payload codecs and worker entry points;
 * :mod:`~repro.runner.orchestrator` — the :class:`Runner` façade;
@@ -27,7 +25,6 @@ Layers (see ``docs/ARCHITECTURE.md``):
 """
 
 from .cache import MISS, CacheStats, ResultCache, default_cache_dir
-from .chaos import ChaosError, ChaosSpec, TornCache
 from .executor import (
     ParallelExecutor,
     QuarantineError,
@@ -69,9 +66,6 @@ __all__ = [
     "RunHealth",
     "TaskFailure",
     "QuarantineError",
-    "ChaosSpec",
-    "ChaosError",
-    "TornCache",
     "RunJournal",
     "derive_seed",
     "default_workers",

@@ -38,8 +38,7 @@ supervised map instead runs a small state machine per wave:
   tracebacks) in the result list; the rest of the wave continues.
 * **DEGRADED** — after ``max_pool_restarts`` collapses the executor
   stops trusting the platform's process pool and finishes every
-  remaining payload inline (chaos crash/hang injectors are pid-guarded,
-  so test-double faults cannot take down the supervisor itself).
+  remaining payload inline.
 
 Every event increments a counter on :class:`RunHealth`, the report
 surfaced by :class:`~repro.runner.orchestrator.Runner` and ``repro run
@@ -107,8 +106,8 @@ class TaskRetryPolicy:
     """Timeout/retry/backoff semantics for supervised executor tasks.
 
     The execution-layer mirror of the in-simulation
-    :class:`~repro.fullsys.closedloop.RetryPolicy`: frozen, validated at
-    construction, serializable.  ``timeout`` is the wall-clock budget
+    :class:`~repro.fullsys.closedloop.RetryPolicy`: frozen and validated
+    at construction.  ``timeout`` is the wall-clock budget
     (seconds) of one attempt — ``None`` disables deadlines; timeouts
     apply only to pool execution, since inline work cannot be preempted.
     A failed attempt ``a`` (1-based) waits ``backoff * 2**(a-1)``
@@ -140,28 +139,6 @@ class TaskRetryPolicy:
             raise ValueError(
                 f"pool-restart budget must be >= 0, got {self.max_pool_restarts!r}"
             )
-
-    # -- (de)serialization ---------------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "backoff": self.backoff,
-            "max_pool_restarts": self.max_pool_restarts,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TaskRetryPolicy":
-        timeout = d.get("timeout")
-        return cls(
-            timeout=None if timeout is None else float(timeout),
-            retries=int(d.get("retries", 2)),
-            backoff=float(d.get("backoff", 0.05)),
-            max_pool_restarts=int(d.get("max_pool_restarts", 3)),
-        )
-
-    def key(self) -> tuple:
-        return (self.timeout, self.retries, self.backoff, self.max_pool_restarts)
 
     def delay(self, attempt: int) -> float:
         """Backoff before (1-based) attempt ``attempt + 1``."""
@@ -323,21 +300,14 @@ class ParallelExecutor:
     budget is exhausted, quarantined as :class:`TaskFailure` records —
     :meth:`map` then raises :class:`QuarantineError` *after* the rest of
     the wave has completed, so an hour-scale batch still fails loudly
-    but no longer loses its finished work.  ``chaos`` (a
-    :class:`~repro.runner.chaos.ChaosSpec`) threads the deterministic
-    fault injectors through every task call; it is a test surface and
-    ``None`` in production.
+    but no longer loses its finished work.  Every task call goes through
+    :meth:`_submit` (pool) or :meth:`_call_inline` (serial and
+    degraded), the seam the fault-injection tests patch.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        retry: Optional[TaskRetryPolicy] = None,
-        chaos: Any = None,
-    ):
+    def __init__(self, workers: int = 1, retry: Optional[TaskRetryPolicy] = None):
         self.workers = max(1, int(workers))
         self.retry = retry or TaskRetryPolicy()
-        self.chaos = chaos
         self.health = RunHealth()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_broken = False
@@ -402,18 +372,12 @@ class ParallelExecutor:
         return self.workers if self._get_pool() is not None else 1
 
     # -- task invocation -----------------------------------------------------
+    # ``attempt`` is unused here; fault injectors patched over these two
+    # methods key their faults on it.
     def _submit(self, pool: ProcessPoolExecutor, fn, payload, attempt: int) -> Future:
-        if self.chaos is not None:
-            from .chaos import chaos_call
-
-            return pool.submit(chaos_call, self.chaos, attempt, fn, payload)
         return pool.submit(fn, payload)
 
     def _call_inline(self, fn, payload, attempt: int):
-        if self.chaos is not None:
-            from .chaos import chaos_call
-
-            return chaos_call(self.chaos, attempt, fn, payload)
         return fn(payload)
 
     # -- public maps ---------------------------------------------------------

@@ -156,10 +156,6 @@ class Runner:
     keeps a sweep journal (``journal.jsonl`` in the cache root) so a
     killed run resumes exactly; payloads that exhaust their retries are
     quarantined with a failure artifact under ``<cache root>/failures/``.
-    ``chaos`` (a :class:`~repro.runner.chaos.ChaosSpec`) and ``cache``
-    (a pre-built :class:`ResultCache`, e.g. a
-    :class:`~repro.runner.chaos.TornCache`) are the fault-injection test
-    surfaces.
     """
 
     def __init__(
@@ -169,18 +165,14 @@ class Runner:
         no_cache: bool = False,
         engine: str = DEFAULT_ENGINE,
         retry: Optional[TaskRetryPolicy] = None,
-        chaos: Any = None,
-        cache: Optional[ResultCache] = None,
-        journal: bool = True,
     ):
         if parallel <= 0:
             parallel = default_workers()
         self.retry = retry or TaskRetryPolicy()
-        self.executor = ParallelExecutor(parallel, retry=self.retry, chaos=chaos)
-        if cache is not None:
-            self.cache: Optional[ResultCache] = cache
-        else:
-            self.cache = None if no_cache else ResultCache(cache_dir)
+        self.executor = ParallelExecutor(parallel, retry=self.retry)
+        self.cache: Optional[ResultCache] = (
+            None if no_cache else ResultCache(cache_dir)
+        )
         #: Default open-loop engine for jobs that don't pin one
         #: (closed-loop and recovery jobs have a single engine).
         self.engine = engine
@@ -188,7 +180,7 @@ class Runner:
         self.failures: List[TaskFailure] = []
         self.journal: Optional[RunJournal] = None
         self._resumable: Set[str] = set()
-        if journal and self.cache is not None:
+        if self.cache is not None:
             self.journal = RunJournal(os.path.join(self.cache.root, JOURNAL_NAME))
             self.executor.health.interrupted = len(self.journal.prior_interrupted)
             # Every key the killed run declared: results are cached
@@ -602,13 +594,6 @@ class Runner:
             table.topology.name = job.topology.name
             table.topology.link_class = job.topology.link_class
         return results
-
-    # -- experiment-level entry point ---------------------------------------
-    def run_experiment(self, name: str, fast: bool = True, **kwargs) -> Any:
-        """Run a named experiment from the registry through this runner."""
-        from ..experiments.registry import get_experiment
-
-        return get_experiment(name).run(self, fast, **kwargs)
 
 
 @contextmanager

@@ -79,14 +79,6 @@ class SimStats:
         return self.ejected_packets / (self.n_nodes * self.cycles)
 
     @property
-    def throughput_flits_node_cycle(self) -> float:
-        return self.ejected_flits / (self.n_nodes * self.cycles)
-
-    @property
-    def offered_packets_node_cycle(self) -> float:
-        return self.offered_packets / (self.n_nodes * self.cycles)
-
-    @property
     def deliverable_packets_node_cycle(self) -> float:
         """Offered load minus fault losses, per node per cycle.
 

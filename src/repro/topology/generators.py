@@ -1,14 +1,12 @@
-"""Additional classic topology generators.
+"""Additional classic topology generators: a ring and an unfolded torus.
 
-The paper omits mesh and concentrated-mesh results as "repeatedly shown
-to have poor metrics" — we provide them (plus a ring and an unfolded
-torus) so that claim is *checkable* in this repo, and so users have
-familiar reference points when designing for custom layouts.
+They are familiar reference points when designing for custom layouts;
+mesh and the paper's expert designs live in :mod:`repro.topology.expert`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .graph import Topology
 from .layout import Layout
@@ -46,36 +44,3 @@ def torus(layout: Layout) -> Topology:
                 (layout.router_at(x, y), layout.router_at(x, (y + 1) % layout.rows))
             )
     return Topology.from_undirected(layout, edges, name="Torus", link_class=None)
-
-
-def concentrated_mesh(layout: Layout, concentration: int = 2) -> Topology:
-    """Concentrated mesh: a mesh over every ``concentration``-th router
-    column, with the skipped columns chained to their host router.
-
-    This mirrors cmesh's resource profile at the NoI scale (fewer mesh
-    routers, each serving a wider strip); the paper's claim that it
-    underperforms misaligned designs is directly checkable against mesh
-    and Kite via ``repro.topology.summarize``.
-    """
-    if concentration < 1:
-        raise ValueError("concentration must be >= 1")
-    edges: List[Tuple[int, int]] = []
-    hubs = [x for x in range(0, layout.cols, concentration)]
-    for y in range(layout.rows):
-        # chain each non-hub column to its left hub
-        for x in range(layout.cols):
-            if x in hubs:
-                continue
-            host = max(h for h in hubs if h < x)
-            prev = x - 1 if x - 1 >= host else host
-            edges.append((layout.router_at(prev, y), layout.router_at(x, y)))
-        # hub mesh: horizontal hub-to-hub (may exceed small class)
-        for a, b in zip(hubs, hubs[1:]):
-            edges.append((layout.router_at(a, y), layout.router_at(b, y)))
-    for x in hubs:
-        for y in range(layout.rows - 1):
-            edges.append((layout.router_at(x, y), layout.router_at(x, y + 1)))
-    return Topology.from_undirected(
-        layout, sorted(set(tuple(sorted(e)) for e in edges)),
-        name=f"CMesh-{concentration}", link_class=None,
-    )

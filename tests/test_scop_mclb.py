@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    NetSmithConfig,
-    exhaustive_cut_constraints,
-    generate_scop,
-    mclb_route,
-)
+from repro.core import NetSmithConfig, generate_scop, mclb_route
 from repro.core.netsmith import build_distance_formulation
 from repro.milp import MAXIMIZE
 from repro.routing import channel_loads, enumerate_shortest_paths, single_shortest_paths
 from repro.topology import Layout, Topology, folded_torus, LAYOUT_4X5, sparsest_cut
+from scop_oracle import exhaustive_cut_constraints
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +104,6 @@ class TestMCLB:
         w[1, 3] = 1.0
         res = mclb_route(t, weights=w, time_limit=30)
         assert res.max_channel_load <= 1.0 + 1e-9  # disjoint two-hop routes exist
-
-    def test_fractional_mode(self):
-        ft = folded_torus(LAYOUT_4X5)
-        res = mclb_route(ft, time_limit=60, fractional=True)
-        assert res.max_channel_load <= 12.0 + 1e-6  # LP bound <= MIP bound
-        res.routes.validate()
 
     def test_precomputed_pathset_accepted(self):
         ft = folded_torus(LAYOUT_4X5)
