@@ -32,6 +32,7 @@ from repro.topology import Layout, Topology
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests"))
 from chaos_harness import ChaosSpec, armed  # noqa: E402  (test-only fault injector)
+from curve_helper import run_curve  # noqa: E402
 
 RATES = (0.02, 0.06, 0.12)
 BUDGET = dict(warmup=80, measure=200, seed=0)
@@ -58,8 +59,9 @@ def _sweep(table, cache_dir, retry=None, chaos=None, parallel=2):
         parallel=parallel, cache_dir=cache_dir, retry=retry
     ) as runner:
         t0 = time.perf_counter()
-        curve = runner.curve(
-            table, TrafficSpec.uniform(6), RATES, link_class="small", **BUDGET
+        curve = run_curve(
+            runner, table, TrafficSpec.uniform(6), RATES, link_class="small",
+            **BUDGET,
         )
         return time.perf_counter() - t0, curve, runner.health
 

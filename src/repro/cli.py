@@ -43,7 +43,6 @@ the sweep journal.  See ``docs/CLI.md``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -199,8 +198,8 @@ def _failure_table(failures) -> str:
     return "\n".join(lines)
 
 
-def _report_quarantine(runner, exc=None) -> None:
-    failures = runner.failures or (list(exc.failures) if exc is not None else [])
+def _report_quarantine(runner, exc) -> None:
+    failures = exc.failures
     print(
         f"\n{len(failures)} task(s) quarantined after exhausting retries"
         + (
@@ -495,7 +494,7 @@ def cmd_run(args) -> int:
             retry = _retry_policy(args)
             if retry is not None:
                 kw["retry"] = retry
-        from .runner import QuarantineError
+        from .runner import EngineError, QuarantineError
 
         try:
             result = spec.run(runner, fast=not args.full, **kw)
@@ -510,6 +509,9 @@ def cmd_run(args) -> int:
                 print(runner.stats.summary(), file=sys.stderr)
             _print_health(runner, args)
             return 2
+        except EngineError as exc:
+            # A usage error, as `simulate --faults --engine turbo` is.
+            raise SystemExit(f"{name}: {exc}")
         text = spec.summarize(result)
         chunks.append(text)
         print(text)
@@ -522,11 +524,6 @@ def cmd_run(args) -> int:
         with open(args.out, "w") as fh:
             fh.write("\n\n".join(chunks) + "\n")
         print(f"[written to {args.out}]", file=sys.stderr)
-    if runner.failures:
-        # Failure-isolating experiments (quarantine="return") can finish
-        # with quarantined cells; that is still a failed run.
-        _report_quarantine(runner)
-        return 2
     return 0
 
 
@@ -574,8 +571,9 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
              "(default; flat arrays, pre-generated traffic traces, "
              "compiled-network reuse) or the batched turbo engine "
              "(statistically validated against fast, not bit-exact; "
-             "no --faults support).  Closed-loop runs (fig8, recovery) "
-             "ignore it",
+             "refused where faults are injected: simulate --faults, "
+             "run robustness, explore --robustness).  Closed-loop runs "
+             "(fig8, recovery) ignore it",
     )
     parser.add_argument(
         "--task-timeout", type=_positive_float, default=None, metavar="SEC",

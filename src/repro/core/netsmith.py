@@ -23,14 +23,11 @@ traffic-weighted hop sum (Section V-E).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..milp import (
-    BINARY,
-    INTEGER,
-    MAXIMIZE,
     MINIMIZE,
     Model,
     SolveResult,

@@ -29,8 +29,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..milp import MAXIMIZE, Model, quicksum
-from ..topology import Topology, sparsest_cut
+from ..milp import MAXIMIZE, quicksum
+from ..topology import sparsest_cut
 from .netsmith import FormulationHandles, GenerationResult, NetSmithConfig, build_distance_formulation
 
 

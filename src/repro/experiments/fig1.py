@@ -11,11 +11,11 @@ design on the frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..routing import channel_loads, throughput_bounds
+from ..routing import throughput_bounds
 from ..topology import average_hops
-from .registry import Entry, roster, routed_entries
+from .registry import roster, routed_entries
 
 if TYPE_CHECKING:
     from ..runner import Runner

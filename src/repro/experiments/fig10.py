@@ -8,14 +8,14 @@ topologies show varied behaviour; the ShufOpt topology outperforms all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.pregenerated import netsmith_topology
 from ..sim import SweepResult
 from ..topology import standard_layout
-from .registry import MCLB, Entry, roster, routed_entry, routed_table
+from .registry import MCLB, Entry, roster, routed_entry
 
 if TYPE_CHECKING:
     from ..runner import Runner
@@ -47,11 +47,8 @@ def fig10_curves(
     seed: int = 0,
     allow_generate: bool = True,
     runner: Optional["Runner"] = None,
-    engine: Optional[str] = None,
 ) -> Fig10Result:
-    """``engine`` pins the simulation engine ("fast"/"turbo");
-    ``None`` uses the runner's default.  Each routed topology compiles
-    once and its sweep is trace-fed."""
+    """Each routed topology compiles once and its sweep is trace-fed."""
     from ..runner import CurveJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
@@ -83,7 +80,7 @@ def fig10_curves(
             CurveJob(
                 table=table, traffic=TrafficSpec.shuffle(layout.n), rates=rates,
                 name=entry.name, link_class=cls,
-                warmup=warmup, measure=measure, seed=seed, engine=engine,
+                warmup=warmup, measure=measure, seed=seed,
             )
             for cls, entry, table in cast
         ])

@@ -9,7 +9,7 @@ could not produce a connected graph) and finds NetSmith ahead by 18%,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..topology import standard_layout
 from ..topology.layout import CLASS_CLOCK_GHZ
@@ -57,13 +57,10 @@ def fig11_points(
     seed: int = 0,
     allow_generate: bool = True,
     runner: Optional["Runner"] = None,
-    engine: Optional[str] = None,
 ) -> Fig11Result:
     """Each topology's whole saturation binary search is one runner
-    task, fanned across workers and cached.  ``engine`` pins the
-    simulation engine ("fast"/"turbo"); ``None`` uses the runner's
-    default.  Every search's probes share one compiled network and are
-    memoized by rate."""
+    task, fanned across workers and cached.  Every search's probes
+    share one compiled network and are memoized by rate."""
     from ..runner import SaturationJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
@@ -85,7 +82,6 @@ def fig11_points(
             SaturationJob(
                 table=table, traffic=TrafficSpec.uniform(layout.n),
                 name=entry.name, warmup=warmup, measure=measure, seed=seed,
-                engine=engine,
             )
             for cls, entry, table in cast
         ])

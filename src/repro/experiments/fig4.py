@@ -5,7 +5,7 @@ bidirectional from unidirectional links)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..core.pregenerated import netsmith_topology
 from ..topology import CutResult, Topology, ascii_art, sparsest_cut

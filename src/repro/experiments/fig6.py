@@ -55,14 +55,11 @@ def fig6_curves(
     seed: int = 0,
     allow_generate: bool = True,
     runner: Optional["Runner"] = None,
-    engine: Optional[str] = None,
 ) -> Fig6Result:
     """Every (topology, rate) sim point fans out across the runner's
-    workers and lands in its result cache.  ``engine`` pins the
-    simulation engine ("fast"/"turbo"); ``None`` uses the runner's
-    default.  Each routed topology compiles once per curve (per worker,
-    when fanned out) and traffic is pre-generated as vectorized
-    traces."""
+    workers and lands in its result cache.  Each routed topology
+    compiles once per curve (per worker, when fanned out) and traffic is
+    pre-generated as vectorized traces."""
     from ..runner import CurveJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
@@ -87,7 +84,6 @@ def fig6_curves(
             CurveJob(
                 table=table, traffic=spec, rates=rates, name=entry.name,
                 link_class=cls, warmup=warmup, measure=measure, seed=seed,
-                engine=engine,
             )
             for cls, entry, table in cast
         ]

@@ -13,12 +13,12 @@ the analytical cut-based and occupancy-based bounds.  Expected findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..routing import throughput_bounds
 from ..routing.paths import PathSet
 from ..topology import standard_layout
-from .registry import MCLB, NDBT, Entry, roster, routed_table
+from .registry import MCLB, NDBT, roster, routed_table
 
 if TYPE_CHECKING:
     from ..runner import Runner

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..power import PowerArea, analyze
-from ..topology import Topology, expert_topology
+from ..topology import expert_topology
 from .registry import roster
 
 if TYPE_CHECKING:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.pregenerated import lookup as ns_lookup, netsmith_topology
+from ..core.pregenerated import netsmith_topology
 from ..routing import RoutingTable
 from ..topology import Topology, expert_topology, standard_layout
 from ..topology.expert import EXPERT_FAMILIES

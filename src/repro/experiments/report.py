@@ -16,7 +16,7 @@ from .fig6 import fig6_curves
 from .fig7 import fig7_bars, mclb_gain_summary
 from .fig8 import fig8_results
 from .fig9 import fig9_rows, ns_large_vs_small_dynamic
-from .table2 import PAPER_TABLE2_20, table2
+from .table2 import table2
 
 if TYPE_CHECKING:
     from ..runner import Runner

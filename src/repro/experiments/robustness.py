@@ -204,14 +204,14 @@ def robustness_grid(
     out_dir: Optional[str] = None,
     probe_fraction: float = PROBE_FRACTION,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> RobustnessResult:
     """Measure the fault x traffic scenario grid over expert topologies.
 
     Saturation legs inject the fault at cycle 0 (steady degraded state);
     the delivered-fraction probe injects it a third of the way into the
     measurement window, so the loss number includes packets stranded by
-    the epoch swap itself.  All legs batch through one runner.  JSON
+    the epoch swap itself.  All legs batch through one runner (a turbo
+    runner refuses them: turbo has no fault support).  JSON
     artifacts are written only when ``out_dir`` is given (``repro run
     robustness`` passes ``robustness-artifacts``).
     """
@@ -239,8 +239,7 @@ def robustness_grid(
                     table=table, traffic=spec,
                     name=f"{topo.name}/{t_label}",
                     lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
-                    warmup=warmup, measure=measure,
-                    seed=seed, engine=engine,
+                    warmup=warmup, measure=measure, seed=seed,
                 ))
             for f_label, schedule in _fault_axis(topo):
                 for t_label, spec in _traffic_axis(topo):
@@ -250,7 +249,7 @@ def robustness_grid(
                         name=f"{topo.name}/{f_label}/{t_label}",
                         lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
                         warmup=warmup, measure=measure, seed=seed,
-                        engine=engine, faults=schedule,
+                        faults=schedule,
                     ))
         sats = runner.saturations(base_jobs + deg_jobs)
         base_sats = sats[: len(base_jobs)]
@@ -270,8 +269,8 @@ def robustness_grid(
             topo = table.topology
             mid = dict(_fault_axis(topo, cycle=probe_cycle))[f_label]
             probe_payloads.append(_tasks.sim_point_payload(
-                table, spec, rate, probe_warmup, probe_measure, seed, {},
-                engine=engine or runner.engine, faults=mid,
+                table, spec, rate, probe_warmup, probe_measure, seed,
+                engine=runner.engine, faults=mid,
             ))
         probe_stats = runner.run_tasks("sim_point", probe_payloads)
 
@@ -304,7 +303,7 @@ def robustness_grid(
             "warmup": warmup, "measure": measure, "iters": iters,
             "probe_warmup": probe_warmup, "probe_measure": probe_measure,
             "seed": seed,
-            "engine": engine,
+            "engine": runner.engine,
         },
     )
     if out_dir is not None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..topology import TopologyMetrics, summarize
-from .registry import Entry, roster
+from .registry import roster
 
 if TYPE_CHECKING:
     from ..runner import Runner

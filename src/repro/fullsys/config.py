@@ -8,7 +8,7 @@ NoC is folded into the CDC hop charge), the mapping is noted inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 

@@ -9,7 +9,7 @@ of terms cheap (no symbolic tree walking at matrix-build time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Union
 
 Number = Union[int, float]

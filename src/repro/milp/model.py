@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -21,10 +21,7 @@ from scipy import sparse
 from .expressions import (
     BINARY,
     CONTINUOUS,
-    EQ,
-    GE,
     INTEGER,
-    LE,
     Constraint,
     LinExpr,
     Var,

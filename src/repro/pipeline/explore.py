@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..runner.hashing import config_hash
-from ..runner.orchestrator import Runner
+from ..runner.orchestrator import Runner, ensure_runner
 from ..topology.io import to_dict as topology_to_dict
 from .design import MAX_SCOP_ROUTERS, DesignPoint
 from .stages import (
@@ -185,7 +185,6 @@ def explore(
     eval_measure: int = 900,
     eval_iters: int = 5,
     out_dir: Optional[str] = None,
-    engine: Optional[str] = None,
     rank_by: str = "saturation",
     robustness: bool = False,
     sim_cutoff: int = SIM_CUTOFF,
@@ -221,26 +220,26 @@ def explore(
     if not todo:
         return ExploreResult(rows=[], skipped=skipped)
 
-    generations = generate_points(todo, runner=runner)
-    tables = route_topologies(
-        [g.topology for g in generations],
-        policy=policy,
-        seed=route_seed,
-        time_limit=route_time_limit,
-        runner=runner,
-    )
-    evaluations = evaluate_tables(
-        tables,
-        [p.link_class for p in todo],
-        seed=route_seed,
-        warmup=eval_warmup,
-        measure=eval_measure,
-        iters=eval_iters,
-        runner=runner,
-        engine=engine,
-        robustness=robustness,
-        sim_cutoff=sim_cutoff,
-    )
+    with ensure_runner(runner) as runner:
+        generations = generate_points(todo, runner=runner)
+        tables = route_topologies(
+            [g.topology for g in generations],
+            policy=policy,
+            seed=route_seed,
+            time_limit=route_time_limit,
+            runner=runner,
+        )
+        evaluations = evaluate_tables(
+            tables,
+            [p.link_class for p in todo],
+            seed=route_seed,
+            warmup=eval_warmup,
+            measure=eval_measure,
+            iters=eval_iters,
+            runner=runner,
+            robustness=robustness,
+            sim_cutoff=sim_cutoff,
+        )
 
     rows = [
         ExploreRow(
@@ -263,7 +262,7 @@ def explore(
             "eval_warmup": eval_warmup,
             "eval_measure": eval_measure,
             "eval_iters": eval_iters,
-            "engine": engine,
+            "engine": runner.engine,
             "robustness": robustness,
             "sim_cutoff": sim_cutoff,
         }

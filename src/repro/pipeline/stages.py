@@ -217,7 +217,6 @@ def evaluate_tables(
     measure: int = 900,
     iters: int = 5,
     runner: Optional[Runner] = None,
-    engine: Optional[str] = None,
     robustness: bool = False,
     sim_cutoff: int = SIM_CUTOFF,
 ) -> List[PointEvaluation]:
@@ -254,7 +253,6 @@ def evaluate_tables(
                 measure=measure,
                 iters=iters,
                 seed=seed,
-                engine=engine,
             )
             for i in simulated
         ]

@@ -11,7 +11,7 @@ paper's 20-to-84-router instances the cap is rarely hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

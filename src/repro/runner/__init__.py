@@ -17,7 +17,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 * :mod:`~repro.runner.hashing` — canonical config hashing (cache keys);
 * :mod:`~repro.runner.cache` — atomic JSON store, hit/miss accounting;
 * :mod:`~repro.runner.executor` — supervised process-pool map, retry
-  policy, health counters, seed derivation;
+  policy, health counters;
 * :mod:`~repro.runner.journal` — crash-safe sweep journal (exact resume);
 * :mod:`~repro.runner.tasks` — payload codecs and worker entry points;
 * :mod:`~repro.runner.orchestrator` — the :class:`Runner` façade;
@@ -32,7 +32,6 @@ from .executor import (
     TaskFailure,
     TaskRetryPolicy,
     default_workers,
-    derive_seed,
     payload_fingerprint,
 )
 from .hashing import canonical_json, config_hash
@@ -41,6 +40,7 @@ from .orchestrator import (
     ClosedLoopJob,
     RecoveryJob,
     CurveJob,
+    EngineError,
     RoutingJob,
     Runner,
     SaturationJob,
@@ -66,8 +66,8 @@ __all__ = [
     "RunHealth",
     "TaskFailure",
     "QuarantineError",
+    "EngineError",
     "RunJournal",
-    "derive_seed",
     "default_workers",
     "default_cache_dir",
     "payload_fingerprint",

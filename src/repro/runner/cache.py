@@ -32,7 +32,7 @@ import json
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.

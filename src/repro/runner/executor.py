@@ -1,4 +1,4 @@
-"""Supervised process-pool execution with deterministic seeding.
+"""Supervised process-pool execution.
 
 The executor maps a *module-level* task function over a list of pure-data
 payloads.  Results come back in payload order, so a parallel map is a
@@ -7,10 +7,7 @@ contract, speed is the point.
 
 Determinism comes from the payloads themselves: every task carries its
 RNG seed as data (the sweep tasks forward the caller's seed verbatim,
-matching the serial code paths).  For callers that need *distinct*
-per-task seeds — e.g. replicated runs of the same configuration —
-``derive_seed`` derives one stably from a base seed plus the task's
-identity, never its scheduling order.
+matching the serial code paths), never its scheduling order.
 
 Supervision
 -----------
@@ -69,17 +66,6 @@ BACKOFF_CAP = 5.0
 
 #: Poll granularity (seconds) of the supervision loop.
 _POLL = 0.05
-
-
-def derive_seed(base_seed: int, *components: Any) -> int:
-    """A stable 31-bit seed from a base seed and task identity.
-
-    Same inputs always give the same seed; distinct components give
-    (overwhelmingly) distinct seeds.  Scheduling order never enters.
-    """
-    text = repr((int(base_seed),) + tuple(components))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little") % (2**31)
 
 
 def default_workers() -> int:
@@ -173,32 +159,6 @@ class RunHealth:
     cache_evictions: int = 0
     resumed: int = 0
     interrupted: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.quarantined == 0
-
-    def merge(self, other: "RunHealth") -> None:
-        for name in (
-            "tasks", "retries", "timeouts", "crashes", "pool_restarts",
-            "inline_fallbacks", "quarantined", "cache_evictions",
-            "resumed", "interrupted",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "tasks": self.tasks,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "pool_restarts": self.pool_restarts,
-            "inline_fallbacks": self.inline_fallbacks,
-            "quarantined": self.quarantined,
-            "cache_evictions": self.cache_evictions,
-            "resumed": self.resumed,
-            "interrupted": self.interrupted,
-        }
 
     def summary(self) -> str:
         return (
@@ -297,12 +257,12 @@ class ParallelExecutor:
 
     Errors raised *inside* tasks no longer abort the wave: they are
     retried under ``retry`` (a :class:`TaskRetryPolicy`) and, once the
-    budget is exhausted, quarantined as :class:`TaskFailure` records —
-    :meth:`map` then raises :class:`QuarantineError` *after* the rest of
-    the wave has completed, so an hour-scale batch still fails loudly
-    but no longer loses its finished work.  Every task call goes through
-    :meth:`_submit` (pool) or :meth:`_call_inline` (serial and
-    degraded), the seam the fault-injection tests patch.
+    budget is exhausted, quarantined as :class:`TaskFailure` records in
+    the outcome list while the rest of the wave completes (the Runner
+    then raises :class:`QuarantineError`), so an hour-scale batch still
+    fails loudly but no longer loses its finished work.  Every task call
+    goes through :meth:`_submit` (pool) or :meth:`_call_inline` (serial
+    and degraded), the seam the fault-injection tests patch.
     """
 
     def __init__(self, workers: int = 1, retry: Optional[TaskRetryPolicy] = None):
@@ -380,19 +340,7 @@ class ParallelExecutor:
     def _call_inline(self, fn, payload, attempt: int):
         return fn(payload)
 
-    # -- public maps ---------------------------------------------------------
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> List[Any]:
-        """Supervised order-preserving map; raises
-        :class:`QuarantineError` (after the wave completes) if any
-        payload exhausted its retries."""
-        outcomes = self.map_outcomes(fn, payloads)
-        failures = [o for o in outcomes if isinstance(o, TaskFailure)]
-        if failures:
-            raise QuarantineError(failures)
-        return outcomes
-
+    # -- the public map ------------------------------------------------------
     def map_outcomes(
         self,
         fn: Callable[[Any], Any],

@@ -22,11 +22,11 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..routing.tables import RoutingTable
-from ..sim.fastnet import DEFAULT_ENGINE
+from ..sim.fastnet import DEFAULT_ENGINE, resolve_engine
 from ..sim.sweep import SweepResult, assemble_curve
 from . import tasks
 from .cache import MISS, CacheStats, ResultCache
@@ -40,6 +40,11 @@ from .executor import (
 )
 from .hashing import config_hash
 from .journal import JOURNAL_NAME, RunJournal
+
+
+class EngineError(ValueError):
+    """A batch the runner's engine cannot run, refused before any of its
+    tasks starts (the turbo engine has no fault support)."""
 
 
 def task_key(task_name: str, payload: Dict[str, Any]) -> str:
@@ -59,10 +64,6 @@ class CurveJob:
     warmup: int = 500
     measure: int = 2000
     seed: int = 0
-    stop_after_saturation: bool = True
-    sim_kw: Dict[str, Any] = field(default_factory=dict)
-    #: Simulation engine ("fast"/"turbo"); None = the runner's default.
-    engine: Optional[str] = None
     #: Optional :class:`~repro.faults.FaultSchedule` applied to every point.
     faults: Any = None
 
@@ -80,9 +81,6 @@ class SaturationJob:
     warmup: int = 400
     measure: int = 1200
     seed: int = 0
-    sim_kw: Dict[str, Any] = field(default_factory=dict)
-    #: Simulation engine ("fast"/"turbo"); None = the runner's default.
-    engine: Optional[str] = None
     #: Optional :class:`~repro.faults.FaultSchedule` applied to every probe.
     faults: Any = None
 
@@ -148,7 +146,9 @@ class Runner:
 
     ``parallel=1`` (the default) runs everything inline; results are
     identical at any worker count.  ``no_cache=True`` disables the disk
-    cache entirely (the ``--no-cache`` escape hatch).
+    cache entirely (the ``--no-cache`` escape hatch).  ``engine`` is the
+    open-loop simulation engine of every curve and saturation search
+    the runner fans out; closed-loop and recovery runs have one engine.
 
     Execution is supervised (see :mod:`repro.runner.executor`): ``retry``
     sets the per-task timeout/retry/backoff policy, and ``health``
@@ -166,6 +166,7 @@ class Runner:
         engine: str = DEFAULT_ENGINE,
         retry: Optional[TaskRetryPolicy] = None,
     ):
+        resolve_engine(engine)  # an unknown name fails here, not in a task
         if parallel <= 0:
             parallel = default_workers()
         self.retry = retry or TaskRetryPolicy()
@@ -173,8 +174,6 @@ class Runner:
         self.cache: Optional[ResultCache] = (
             None if no_cache else ResultCache(cache_dir)
         )
-        #: Default open-loop engine for jobs that don't pin one
-        #: (closed-loop and recovery jobs have a single engine).
         self.engine = engine
         #: Every TaskFailure quarantined through this runner (for reporting).
         self.failures: List[TaskFailure] = []
@@ -247,10 +246,7 @@ class Runner:
             pass  # reporting must not mask the failure being reported
 
     def run_tasks(
-        self,
-        task_name: str,
-        payloads: Sequence[Dict[str, Any]],
-        quarantine: str = "raise",
+        self, task_name: str, payloads: Sequence[Dict[str, Any]]
     ) -> List[Any]:
         """Run a batch of same-kind tasks: cache lookup, fan out misses,
         write back, return decoded results in submission order.
@@ -262,15 +258,10 @@ class Runner:
         Each fresh result is cached (and journaled) the moment its task
         completes, not when the wave ends — a killed run keeps all its
         finished work.  Payloads that exhaust the retry policy are
-        quarantined: with ``quarantine="raise"`` (the default) a
-        :class:`QuarantineError` carrying the failures is raised *after*
-        the whole wave has completed and its successes are cached;
-        ``quarantine="return"`` instead leaves the
-        :class:`TaskFailure` records (undecoded) in the result list for
-        callers that isolate failures themselves.
+        quarantined: a :class:`QuarantineError` carrying their
+        :class:`TaskFailure` records is raised *after* the whole wave has
+        completed and its successes are cached.
         """
-        if quarantine not in ("raise", "return"):
-            raise ValueError(f"unknown quarantine mode {quarantine!r}")
         fn, decode = tasks.TASK_FUNCTIONS[task_name]
         payloads = list(payloads)
         keys = [task_key(task_name, p) for p in payloads]
@@ -319,14 +310,20 @@ class Runner:
             for i in todo:
                 results[i] = fresh[slot[keys[i]]]
             wave_failures = [o for o in fresh if isinstance(o, TaskFailure)]
-            if wave_failures and quarantine == "raise":
+            if wave_failures:
                 raise QuarantineError(wave_failures)
-        return [
-            r if isinstance(r, TaskFailure) else decode(r)
-            for r in results
-        ]
+        return [decode(r) for r in results]
 
     # -- simulation workloads ------------------------------------------------
+    def _refuse_faults(self, jobs: Sequence[Any]) -> None:
+        """Raise :class:`EngineError` for a faulted batch on the turbo
+        engine, instead of retrying and quarantining each task."""
+        if self.engine == "turbo" and any(j.faults is not None for j in jobs):
+            raise EngineError(
+                "the turbo engine does not support fault schedules; use "
+                "the exact fast engine for degraded networks"
+            )
+
     def curves(self, jobs: Sequence[CurveJob]) -> List[SweepResult]:
         """Produce many curves at once, fanning (curve, rate) sim points
         across the pool in waves.
@@ -341,13 +338,14 @@ class Runner:
         (measurements are independent and classification is shared with
         :func:`repro.sim.sweep.assemble_curve`).
 
-        Seed replicas are one job per seed.  Within a wave, fault-free
-        ``turbo`` points run as lanes of batched engine calls, one per
+        Seed replicas are one job per seed.  On the ``turbo`` engine a
+        wave's points run as lanes of batched engine calls, one per
         shared table, traffic spec and budget, cached under their
-        per-point keys (see :meth:`_turbo_lanes`); every other point is
-        a ``sim_point`` task.
+        per-point keys (see :meth:`_turbo_lanes`); on any other engine
+        each point is a ``sim_point`` task.
         """
         jobs = list(jobs)
+        self._refuse_faults(jobs)
         collected: List[List[Any]] = [[] for _ in jobs]  # stats per job, in rate order
         cursor = [0] * len(jobs)
         active = [bool(job.rates) for job in jobs]
@@ -371,18 +369,14 @@ class Runner:
                 partial = assemble_curve(
                     job.rates, collected[i],
                     name=job.name, link_class=job.link_class,
-                    stop_after_saturation=job.stop_after_saturation,
                 )
                 saturated = bool(partial.points) and partial.points[-1].saturated
-                if cursor[i] >= len(job.rates) or (
-                    job.stop_after_saturation and saturated
-                ):
+                if cursor[i] >= len(job.rates) or saturated:
                     active[i] = False
         return [
             assemble_curve(
                 job.rates, collected[i],
                 name=job.name, link_class=job.link_class,
-                stop_after_saturation=job.stop_after_saturation,
             )
             for i, job in enumerate(jobs)
         ]
@@ -391,87 +385,23 @@ class Runner:
         self, jobs: Sequence[CurveJob], wave: Sequence[Tuple[int, float]]
     ) -> List[Any]:
         """Stats for one wave of ``(job index, rate)`` points, in order:
-        fault-free turbo points as batched lanes, the rest as
-        ``sim_point`` tasks."""
-        out: List[Any] = [None] * len(wave)
-        fused: List[int] = []
-        points: List[int] = []
-        for k, (i, _) in enumerate(wave):
-            turbo = (jobs[i].engine or self.engine) == "turbo"
-            (fused if turbo and jobs[i].faults is None else points).append(k)
-        if points:
-            payloads = []
-            for k in points:
-                job = jobs[wave[k][0]]
-                payloads.append(tasks.sim_point_payload(
-                    job.table, job.traffic, wave[k][1],
-                    job.warmup, job.measure, job.seed, job.sim_kw,
-                    engine=job.engine or self.engine,
-                    faults=job.faults,
-                ))
-            for k, stats in zip(points, self.run_tasks("sim_point", payloads)):
-                out[k] = stats
-        if fused:
-            lanes = [(jobs[wave[k][0]], wave[k][1], jobs[wave[k][0]].seed)
-                     for k in fused]
-            for k, stats in zip(fused, self._turbo_lanes(lanes)):
-                out[k] = stats
-        return out
-
-    def curve(
-        self,
-        table: RoutingTable,
-        traffic: tasks.TrafficSpec,
-        rates: Sequence[float],
-        name: Optional[str] = None,
-        link_class: Optional[str] = None,
-        warmup: int = 500,
-        measure: int = 2000,
-        seed: int = 0,
-        stop_after_saturation: bool = True,
-        engine: Optional[str] = None,
-        faults=None,
-        **sim_kw,
-    ) -> SweepResult:
-        """Parallel, cached drop-in for
-        :func:`repro.sim.sweep.latency_throughput_curve`."""
-        job = CurveJob(
-            table=table,
-            traffic=traffic,
-            rates=tuple(rates),
-            name=name or table.topology.name,
-            link_class=link_class or table.topology.link_class,
-            warmup=warmup,
-            measure=measure,
-            seed=seed,
-            stop_after_saturation=stop_after_saturation,
-            sim_kw=dict(sim_kw),
-            engine=engine,
-            faults=faults,
-        )
-        return self.curves([job])[0]
-
-    def batch_points(
-        self,
-        table: RoutingTable,
-        traffic: tasks.TrafficSpec,
-        lanes: Sequence[Tuple[float, int]],
-        warmup: int,
-        measure: int,
-        sim_kw: Optional[Dict[str, Any]] = None,
-    ) -> List[Any]:
-        """Measure ``(rate, seed)`` lanes of one table through the batched
-        turbo engine, cached per point (see :meth:`_turbo_lanes`)."""
-        job = CurveJob(
-            table=table, traffic=traffic, rates=(), name="",
-            warmup=warmup, measure=measure, sim_kw=dict(sim_kw or {}),
-        )
-        return self._turbo_lanes([(job, float(r), int(s)) for r, s in lanes])
+        batched lanes on the turbo engine, ``sim_point`` tasks on any
+        other."""
+        if self.engine == "turbo":
+            return self._turbo_lanes([(jobs[i], rate) for i, rate in wave])
+        return self.run_tasks("sim_point", [
+            tasks.sim_point_payload(
+                jobs[i].table, jobs[i].traffic, rate,
+                jobs[i].warmup, jobs[i].measure, jobs[i].seed,
+                engine=self.engine, faults=jobs[i].faults,
+            )
+            for i, rate in wave
+        ])
 
     def _turbo_lanes(
-        self, lanes: Sequence[Tuple[CurveJob, float, int]]
+        self, lanes: Sequence[Tuple[CurveJob, float]]
     ) -> List[Any]:
-        """Turbo stats for ``(job, rate, seed)`` lanes, in order, with
+        """Turbo stats for ``(job, rate)`` lanes, in order, with
         *per-point* cache identity.
 
         Every lane is keyed as the ``engine="turbo"`` ``sim_point``
@@ -487,9 +417,9 @@ class Runner:
         keys = [
             task_key("sim_point", tasks.sim_point_payload(
                 job.table, job.traffic, rate, job.warmup, job.measure,
-                seed, job.sim_kw, engine="turbo",
+                job.seed, engine="turbo",
             ))
-            for job, rate, seed in lanes
+            for job, rate in lanes
         ]
         results: List[Any] = [MISS] * len(lanes)
         if self.cache is not None:
@@ -506,7 +436,6 @@ class Runner:
                 job = lanes[i][0]
                 groups.setdefault((
                     id(job.table), job.traffic, job.warmup, job.measure,
-                    json.dumps(job.sim_kw, sort_keys=True),
                 ), []).append(i)
         chunks: List[List[int]] = []
         for members in groups.values():
@@ -516,8 +445,9 @@ class Runner:
         for chunk in chunks:
             job = lanes[chunk[0]][0]
             payloads.append(tasks.sim_batch_payload(
-                job.table, job.traffic, [lanes[i][1:] for i in chunk],
-                job.warmup, job.measure, job.sim_kw,
+                job.table, job.traffic,
+                [(lanes[i][1], lanes[i][0].seed) for i in chunk],
+                job.warmup, job.measure,
             ))
         fresh: Dict[str, Any] = {}
         for chunk, stats in zip(chunks, self.run_tasks("sim_batch", payloads)):
@@ -531,12 +461,13 @@ class Runner:
 
     def saturations(self, jobs: Sequence[SaturationJob]) -> List[float]:
         """Fan whole saturation searches across workers (Figs. 7/11)."""
+        jobs = list(jobs)
+        self._refuse_faults(jobs)
         payloads = [
             tasks.sat_search_payload(
                 j.table, j.traffic, j.lo, j.hi, j.iters,
-                j.warmup, j.measure, j.seed, j.sim_kw,
-                engine=j.engine or self.engine,
-                faults=j.faults,
+                j.warmup, j.measure, j.seed,
+                engine=self.engine, faults=j.faults,
             )
             for j in jobs
         ]

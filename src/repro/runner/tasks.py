@@ -25,7 +25,7 @@ workers and cache exactly like sim points do.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -340,7 +340,7 @@ def sim_point_payload(
     warmup: int,
     measure: int,
     seed: int,
-    sim_kw: Optional[Dict[str, Any]] = None,
+    *,
     engine: str = DEFAULT_ENGINE,
     faults=None,
 ) -> Dict[str, Any]:
@@ -353,7 +353,7 @@ def sim_point_payload(
         "warmup": int(warmup),
         "measure": int(measure),
         "seed": int(seed),
-        "sim_kw": dict(sim_kw or {}),
+        "sim_kw": {},  # constant: kept so every cache key holds
         "engine": str(engine),
         "faults": None if faults is None else faults.as_dict(),
     }
@@ -381,7 +381,6 @@ def sim_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         seed=payload["seed"],
         engine=payload.get("engine", DEFAULT_ENGINE),
         faults=_decode_faults(payload),
-        **payload.get("sim_kw", {}),
     )
     return stats_to_dict(stats)
 
@@ -392,15 +391,14 @@ def sim_batch_payload(
     lanes: List[Tuple[float, int]],
     warmup: int,
     measure: int,
-    sim_kw: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """S x R ``(rate, seed)`` lanes of one table in one turbo engine call.
 
     Lane order is part of the payload (results decode positionally), but
     a lane's result depends only on its own ``(rate, seed)`` — the batch
     engine guarantees batch composition never changes a lane — which is
-    what lets :meth:`Runner.batch_points` cross-populate per-lane
-    ``sim_point`` cache keys from one batched result.
+    what lets :meth:`Runner.curves` cross-populate per-lane ``sim_point``
+    cache keys from one batched result.
     """
     return {
         "task": "sim_batch",
@@ -410,7 +408,7 @@ def sim_batch_payload(
         "lanes": [[float(r), int(s)] for r, s in lanes],
         "warmup": int(warmup),
         "measure": int(measure),
-        "sim_kw": dict(sim_kw or {}),
+        "sim_kw": {},  # constant: kept so every cache key holds
     }
 
 
@@ -426,7 +424,6 @@ def sim_batch_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         [(r, s) for r, s in payload["lanes"]],
         payload["warmup"],
         payload["measure"],
-        **payload.get("sim_kw", {}),
     )
     return {"stats": [stats_to_dict(st) for st in stats]}
 
@@ -444,7 +441,7 @@ def sat_search_payload(
     warmup: int,
     measure: int,
     seed: int,
-    sim_kw: Optional[Dict[str, Any]] = None,
+    *,
     engine: str = DEFAULT_ENGINE,
     faults=None,
 ) -> Dict[str, Any]:
@@ -459,7 +456,7 @@ def sat_search_payload(
         "warmup": int(warmup),
         "measure": int(measure),
         "seed": int(seed),
-        "sim_kw": dict(sim_kw or {}),
+        "sim_kw": {},  # constant: kept so every cache key holds
         "engine": str(engine),
         "faults": None if faults is None else faults.as_dict(),
     }
@@ -481,7 +478,6 @@ def sat_search_task(payload: Dict[str, Any]) -> float:
             seed=payload["seed"],
             engine=payload.get("engine", DEFAULT_ENGINE),
             faults=_decode_faults(payload),
-            **payload.get("sim_kw", {}),
         )
     )
 

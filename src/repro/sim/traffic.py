@@ -31,7 +31,7 @@ oracle (``tests/network_oracle.py``) calls and the spec must match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -21,7 +21,7 @@ asymmetric links) and respect the radix-4 NoI port budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import Topology
 from .layout import Layout, standard_layout

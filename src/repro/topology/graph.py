@@ -13,7 +13,7 @@ Link-resource counting follows Table II's convention: the number of
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix

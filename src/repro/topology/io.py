@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .graph import Topology
 from .layout import Layout

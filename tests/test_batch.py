@@ -175,26 +175,30 @@ class TestRunnerBatch:
     RATES = (0.05, 0.15, 0.30)
     SEEDS = (0, 1, 2)
 
-    def _seed_jobs(self, table, engine):
+    def _jobs(self, table, lanes):
+        """One curve job per ``(rates, seed)`` lane."""
         from repro.runner import CurveJob
         from repro.runner.tasks import TrafficSpec
 
         return [
             CurveJob(table=table, traffic=TrafficSpec.uniform(N),
-                     rates=self.RATES, name="ft",
+                     rates=rates, name="ft",
                      link_class=table.topology.link_class, seed=s,
-                     engine=engine, **self.BUDGET)
-            for s in self.SEEDS
+                     **self.BUDGET)
+            for rates, s in lanes
         ]
+
+    def _seed_jobs(self, table):
+        return self._jobs(table, [(self.RATES, s) for s in self.SEEDS])
 
     def _curves_twice(self, table, engine, tmp_path):
         """Curves from a cold run, plus the cache writes of a rerun."""
         from repro.runner import Runner
 
-        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            curves = r.curves(self._seed_jobs(table, engine))
-        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            assert r.curves(self._seed_jobs(table, engine)) == curves
+        with Runner(parallel=1, cache_dir=str(tmp_path), engine=engine) as r:
+            curves = r.curves(self._seed_jobs(table))
+        with Runner(parallel=1, cache_dir=str(tmp_path), engine=engine) as r:
+            assert r.curves(self._seed_jobs(table)) == curves
             return curves, r.stats.puts
 
     def test_curves_one_job_per_seed_match_serial_sweeps(self, table,
@@ -227,34 +231,52 @@ class TestRunnerBatch:
             assert got == want, s
         assert rerun_puts == 0
 
+    def test_turbo_runner_refuses_faulted_jobs(self, table):
+        """Fault schedules need the exact fast engine: a turbo runner
+        refuses a faulted curve or saturation batch before any of its
+        tasks runs."""
+        from dataclasses import replace
+
+        from repro.faults import parse_faults
+        from repro.runner import EngineError, Runner, SaturationJob
+
+        faults = parse_faults("500:link_down:0-1")
+        [clean] = self._jobs(table, [(self.RATES, 0)])
+        with Runner(parallel=1, no_cache=True, engine="turbo") as r:
+            with pytest.raises(EngineError, match="fault"):
+                r.curves([clean, replace(clean, faults=faults)])
+            with pytest.raises(EngineError, match="fault"):
+                r.saturations([SaturationJob(
+                    table=table, traffic=clean.traffic, name="ft",
+                    faults=faults, **self.BUDGET,
+                )])
+            assert r.health.tasks == 0
+
     def test_turbo_batch_populates_per_point_cache(self, table, tmp_path):
         """Batched lanes land under the turbo engine's ``sim_point`` keys,
         so a single-point task hits them."""
         from repro.runner import Runner
         from repro.runner.tasks import TrafficSpec, sim_point_payload
+        from repro.sim.sweep import assemble_curve
 
         spec = TrafficSpec.uniform(N)
-        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            batched = r.batch_points(
-                table, spec, [(0.05, 0), (0.15, 1)], **self.BUDGET,
-            )
+        with Runner(parallel=1, cache_dir=str(tmp_path), engine="turbo") as r:
+            batched = r.curves(self._jobs(table, [((0.05,), 0), ((0.15,), 1)]))
             single = r.run_tasks("sim_point", [sim_point_payload(
                 table, spec, 0.15, self.BUDGET["warmup"],
                 self.BUDGET["measure"], 1, engine="turbo",
             )])
             assert r.stats.hits == 1
-        assert single[0] == batched[1]
+        assert assemble_curve(
+            (0.15,), single, name="ft", link_class=table.topology.link_class,
+        ) == batched[1]
 
     def test_turbo_batch_single_lane_roundtrip(self, table, tmp_path):
         from repro.runner import Runner
-        from repro.runner.tasks import TrafficSpec
 
-        spec = TrafficSpec.uniform(N)
-        with Runner(parallel=1, cache_dir=str(tmp_path)) as r:
-            first = r.batch_points(
-                table, spec, [(0.05, 0), (0.12, 1)], **self.BUDGET,
-            )
-            again = r.batch_points(table, spec, [(0.12, 1)], **self.BUDGET)
+        with Runner(parallel=1, cache_dir=str(tmp_path), engine="turbo") as r:
+            first = r.curves(self._jobs(table, [((0.05,), 0), ((0.12,), 1)]))
+            again = r.curves(self._jobs(table, [((0.12,), 1)]))
             hits = r.stats.hits
-        assert hits >= 1
+        assert hits == 1
         assert again[0] == first[1]

@@ -26,6 +26,7 @@ from chaos_harness import (
     chaos_call,
     tear_cache_entries,
 )
+from curve_helper import run_curve
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.runner import (
     ParallelExecutor,
@@ -63,7 +64,7 @@ def payloads(table):
     return [
         sim_point_payload(
             table, TrafficSpec.uniform(6), rate,
-            BUDGET["warmup"], BUDGET["measure"], BUDGET["seed"], {},
+            BUDGET["warmup"], BUDGET["measure"], BUDGET["seed"],
             engine="fast",
         )
         for rate in RATES
@@ -86,8 +87,8 @@ def baseline(table, tmp_path_factory):
     """The fault-free serial curve every chaotic run must reproduce."""
     with Runner(parallel=1,
                 cache_dir=str(tmp_path_factory.mktemp("baseline"))) as r:
-        return curve_points(r.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        return curve_points(run_curve(
+            r, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
 
 
@@ -105,7 +106,8 @@ def chaotic_curve(table, tmp_path, chaos, retry=None, parallel=2):
         retry=retry or TaskRetryPolicy(**LENIENT),
     )
     with armed(chaos), runner:
-        curve = runner.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
+        curve = run_curve(runner, table, TrafficSpec.uniform(6), RATES,
+                          **BUDGET)
         return curve_points(curve), runner.health
 
 
@@ -223,7 +225,7 @@ def test_poison_task_quarantined_wave_completes(table, live_payloads, tmp_path):
     )
     with armed(chaos), runner:
         with pytest.raises(QuarantineError) as ei:
-            runner.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
+            run_curve(runner, table, TrafficSpec.uniform(6), RATES, **BUDGET)
         failures = ei.value.failures
         assert len(failures) == 1
         f = failures[0]
@@ -247,25 +249,25 @@ def test_poison_task_quarantined_wave_completes(table, live_payloads, tmp_path):
 
     # A clean rerun on the same cache recomputes only the poisoned point.
     with Runner(parallel=1, cache_dir=str(tmp_path / "cache")) as r2:
-        r2.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
+        run_curve(r2, table, TrafficSpec.uniform(6), RATES, **BUDGET)
         assert r2.health.quarantined == 0
         assert r2.stats.hits >= 1
 
 
-def test_quarantine_return_mode_yields_task_failures(table, payloads, tmp_path):
+def test_quarantine_error_carries_task_failures(table, payloads, tmp_path):
     chaos = ChaosSpec.select(payloads, seed=0, exc=1, fail_attempts=99)
     runner = Runner(
         parallel=2, cache_dir=str(tmp_path / "cache"),
         retry=TaskRetryPolicy(retries=0, backoff=0.0),
     )
     with armed(chaos), runner:
-        results = runner.run_tasks("sim_point", payloads, quarantine="return")
-        fails = [r for r in results if isinstance(r, TaskFailure)]
+        with pytest.raises(QuarantineError) as ei:
+            runner.run_tasks("sim_point", payloads)
+        fails = ei.value.failures
         assert len(fails) == 1 and fails[0].attempts == 1
-        assert len(results) == len(payloads)
         assert runner.failures == fails
-        with pytest.raises(ValueError):
-            runner.run_tasks("sim_point", payloads, quarantine="nonsense")
+        # Every other payload of the wave completed and was cached.
+        assert runner.stats.puts == len(payloads) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +297,8 @@ def test_torn_cache_writes_evicted_and_repopulated(table, payloads, baseline,
                                                    tmp_path, mode):
     cache_dir = str(tmp_path / "cache")
     with Runner(parallel=1, cache_dir=cache_dir) as r1:
-        points = curve_points(r1.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        points = curve_points(run_curve(
+            r1, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
     keys = [task_key("sim_point", p) for p in payloads]
@@ -306,8 +308,8 @@ def test_torn_cache_writes_evicted_and_repopulated(table, payloads, baseline,
     # Second run discovers the torn entries: evicted, recomputed,
     # repopulated — and the results still match.
     with Runner(parallel=1, cache_dir=cache_dir) as r2:
-        points = curve_points(r2.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        points = curve_points(run_curve(
+            r2, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
         assert r2.stats.errors == torn_count
@@ -316,8 +318,8 @@ def test_torn_cache_writes_evicted_and_repopulated(table, payloads, baseline,
 
     # Third run: fully healed, 100% hits.
     with Runner(parallel=1, cache_dir=cache_dir) as r3:
-        points = curve_points(r3.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        points = curve_points(run_curve(
+            r3, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
         assert r3.stats.misses == 0 and r3.stats.errors == 0
@@ -347,6 +349,7 @@ import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {tests!r})
 from chaos_harness import ChaosSpec, armed
+from curve_helper import run_curve
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
 from repro.runner import Runner, TrafficSpec
 from repro.runner.tasks import sim_point_payload
@@ -358,7 +361,7 @@ topo = Topology.from_undirected(layout, edges, name="mesh2x3", link_class="small
 routes = ndbt_route(topo, seed=0)
 table = build_routing_table(routes, assign_vcs(routes, seed=0))
 payloads = [
-    sim_point_payload(table, TrafficSpec.uniform(6), r, 80, 200, 0, {{}},
+    sim_point_payload(table, TrafficSpec.uniform(6), r, 80, 200, 0,
                       engine="fast")
     for r in (0.02, 0.06, 0.12, 0.2, 0.3)
 ]
@@ -367,8 +370,8 @@ chaos = ChaosSpec.select(payloads, seed=0, delay=len(payloads), delay_s=0.35)
 runner = Runner(parallel=2, cache_dir={cache!r})
 print("READY", flush=True)
 with armed(chaos):
-    runner.curve(table, TrafficSpec.uniform(6), (0.02, 0.06, 0.12, 0.2, 0.3),
-                 warmup=80, measure=200, seed=0)
+    run_curve(runner, table, TrafficSpec.uniform(6),
+              (0.02, 0.06, 0.12, 0.2, 0.3), warmup=80, measure=200, seed=0)
 print("FINISHED", flush=True)
 """
 
@@ -409,8 +412,8 @@ def test_sigint_killed_sweep_resumes_from_journal(table, baseline, tmp_path):
     assert done  # the parent waited for this
 
     with Runner(parallel=1, cache_dir=cache_dir) as r:
-        points = curve_points(r.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        points = curve_points(run_curve(
+            r, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
         # Every task the killed run completed is a cache hit (resumed);
@@ -444,8 +447,8 @@ def test_resume_counts_hits_the_killed_run_never_journaled_done(
             fh.write(json.dumps(rec) + "\n")
 
     with Runner(parallel=1, cache_dir=cache_dir) as r:
-        points = curve_points(r.curve(
-            table, TrafficSpec.uniform(6), RATES, **BUDGET,
+        points = curve_points(run_curve(
+            r, table, TrafficSpec.uniform(6), RATES, **BUDGET,
         ))
         assert points == baseline
         assert r.stats.hits == 2
@@ -494,13 +497,13 @@ def _identity(p):
     return {"echo": True}
 
 
-def test_map_raises_quarantine_error_with_failures():
+def test_map_outcomes_quarantines_poison_payload():
     ex = ParallelExecutor(2, retry=TaskRetryPolicy(retries=1, backoff=0.0))
     try:
-        with pytest.raises(QuarantineError) as ei:
-            ex.map(_poison_four, list(range(6)))
-        assert len(ei.value.failures) == 1
-        assert ei.value.failures[0].attempts == 2
+        outcomes = ex.map_outcomes(_poison_four, list(range(6)))
+        poisoned = outcomes.pop(4)
+        assert isinstance(poisoned, TaskFailure) and poisoned.attempts == 2
+        assert outcomes == [0, 1, 2, 3, 5]
         assert ex.health.quarantined == 1
     finally:
         ex.close()

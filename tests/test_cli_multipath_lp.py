@@ -122,6 +122,22 @@ class TestCLI:
             main(self.SIM + ["--engine", "turbo",
                              "--faults", "500:link_down:2-7"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "robustness"],
+        ["explore", "--grids", "2x3", "--link-classes", "small",
+         "--objectives", "latency", "--strategy", "sa", "--no-frozen",
+         "--sa-steps", "100", "--warmup", "60", "--measure", "200",
+         "--iters", "2", "--out-dir", "", "--robustness"],
+    ])
+    def test_turbo_refuses_fault_commands(self, argv):
+        """Commands whose simulations inject faults exit with the same
+        one-line refusal as ``simulate --faults --engine turbo``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "turbo", "--no-cache"])
+        message = str(exc.value.code)
+        assert "turbo engine does not support fault" in message
+        assert "\n" not in message
+
     def test_simulate_caches_its_table(self, tmp_path, monkeypatch, capsys):
         """The routed table is a cached ``routing`` task of the
         command's runner: a rerun on the same cache does not route."""

@@ -394,3 +394,18 @@ def test_delivered_fraction_monotone_in_dead_links(engine):
     assert fractions[-1] < 0.95  # the fully-severed set visibly loses
     for lo, hi in zip(fractions[1:], fractions):
         assert lo <= hi + 0.02, fractions
+
+
+def test_robustness_grid_refused_on_turbo_runner():
+    """Every degraded leg needs fault support: a turbo runner refuses
+    the grid's saturation batch before any search runs, instead of
+    retrying and quarantining each faulted one."""
+    from repro.experiments.robustness import robustness_grid
+    from repro.runner import EngineError, Runner
+
+    with Runner(parallel=1, no_cache=True, engine="turbo") as runner:
+        with pytest.raises(EngineError, match="turbo engine does not support"):
+            robustness_grid(topologies=("Mesh",), runner=runner)
+        health = runner.health
+    assert health.tasks <= 1  # the Mesh routing task, unless memoized
+    assert health.retries == 0 and health.quarantined == 0

@@ -197,6 +197,27 @@ def test_explore_rerun_is_all_cache_hits(tmp_path):
     } <= set(doc)
 
 
+def test_explore_artifacts_record_the_runner_engine(tmp_path):
+    """A fast and a turbo sweep into one directory keep a ranking each,
+    each recording the engine that ran it."""
+    points = design_grid(
+        ["2x3"], link_classes=("small",), objectives=("latency",),
+        strategies=("sa",), sa_steps=100, use_frozen=False,
+    )
+    art = str(tmp_path / "artifacts")
+    for engine in ("fast", "turbo"):
+        with Runner(parallel=1, no_cache=True, engine=engine) as runner:
+            explore(points, runner=runner, out_dir=art, eval_warmup=60,
+                    eval_measure=200, eval_iters=3)
+    rankings = [
+        json.load(open(os.path.join(art, f)))
+        for f in sorted(os.listdir(art)) if f.startswith("ranking-")
+    ]
+    assert sorted(
+        doc["evaluation_config"]["engine"] for doc in rankings
+    ) == ["fast", "turbo"]
+
+
 def test_sa_shuffle_points_are_labeled_shufopt():
     point = DesignPoint(
         rows=2, cols=3, link_class="medium", objective="shuffle",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hashing_oracle
+from curve_helper import run_curve
 from repro.experiments.registry import NDBT, routed_table
 from repro.faults import FaultSchedule
 from repro.fullsys import RetryPolicy, workload
@@ -24,7 +25,6 @@ from repro.runner import (
     canonical_json,
     config_hash,
     decode_table,
-    derive_seed,
     encode_table,
     task_key,
 )
@@ -71,14 +71,6 @@ def test_config_hash_ignores_dict_order_and_numpy_typing():
 def test_canonical_json_rejects_unhashable_types():
     with pytest.raises(TypeError):
         canonical_json(object())
-
-
-def test_derive_seed_deterministic_and_distinct():
-    assert derive_seed(0, "a", 1) == derive_seed(0, "a", 1)
-    seeds = {derive_seed(0, "point", i) for i in range(100)}
-    assert len(seeds) == 100
-    assert all(0 <= s < 2**31 for s in seeds)
-    assert derive_seed(1, "point", 0) != derive_seed(0, "point", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +321,8 @@ def test_traffic_spec_layout_kinds():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_parallel_curve_bit_identical_to_serial(table, serial_curve, workers, tmp_path):
     runner = Runner(parallel=workers, cache_dir=str(tmp_path))
-    parallel = runner.curve(
-        table, TrafficSpec.uniform(6), RATES,
+    parallel = run_curve(
+        runner, table, TrafficSpec.uniform(6), RATES,
         name="mesh2x3", link_class="small", **BUDGET,
     )
     assert parallel == serial_curve
@@ -350,11 +342,19 @@ def test_parallel_saturation_identical_to_serial(table, tmp_path):
     assert sat == serial
 
 
+def test_runner_rejects_unknown_engine():
+    """A misspelt engine fails at construction, not in its first task."""
+    with pytest.raises(ValueError, match="unknown engine 'fsat'"):
+        Runner(engine="fsat")
+
+
 def test_executor_serial_fallback_matches():
     ex1 = ParallelExecutor(workers=1)
     ex4 = ParallelExecutor(workers=4)
     payloads = list(range(20))
-    assert ex1.map(_square, payloads) == ex4.map(_square, payloads)
+    assert (ex1.map_outcomes(_square, payloads)
+            == ex4.map_outcomes(_square, payloads)
+            == [x * x for x in payloads])
 
 
 def _square(x):
@@ -368,7 +368,7 @@ def _square(x):
 def test_cache_hit_returns_without_resimulating(table, serial_curve, tmp_path, monkeypatch):
     kwargs = dict(name="mesh2x3", link_class="small", **BUDGET)
     first = Runner(parallel=1, cache_dir=str(tmp_path))
-    curve1 = first.curve(table, TrafficSpec.uniform(6), RATES, **kwargs)
+    curve1 = run_curve(first, table, TrafficSpec.uniform(6), RATES, **kwargs)
     assert first.stats.hits == 0 and first.stats.misses > 0
 
     # A fresh Runner on the same cache dir must not simulate at all:
@@ -380,15 +380,15 @@ def test_cache_hit_returns_without_resimulating(table, serial_curve, tmp_path, m
         runner_tasks.TASK_FUNCTIONS, "sim_point", (boom, runner_tasks.stats_from_dict)
     )
     second = Runner(parallel=1, cache_dir=str(tmp_path))
-    curve2 = second.curve(table, TrafficSpec.uniform(6), RATES, **kwargs)
+    curve2 = run_curve(second, table, TrafficSpec.uniform(6), RATES, **kwargs)
     assert curve2 == curve1 == serial_curve
     assert second.stats.misses == 0 and second.stats.hits == first.stats.misses
 
 
 def test_cache_distinguishes_configs(table, tmp_path):
     runner = Runner(parallel=1, cache_dir=str(tmp_path))
-    runner.curve(table, TrafficSpec.uniform(6), RATES, **BUDGET)
-    runner.curve(table, TrafficSpec.uniform(6), RATES,
+    run_curve(runner, table, TrafficSpec.uniform(6), RATES, **BUDGET)
+    run_curve(runner, table, TrafficSpec.uniform(6), RATES,
                  warmup=80, measure=200, seed=1)  # different seed
     assert runner.stats.hits == 0  # nothing shared between the two configs
 
@@ -396,7 +396,7 @@ def test_cache_distinguishes_configs(table, tmp_path):
 def test_corrupted_cache_entry_falls_back_to_recompute(table, tmp_path):
     kwargs = dict(name="mesh2x3", link_class="small", **BUDGET)
     runner = Runner(parallel=1, cache_dir=str(tmp_path))
-    curve1 = runner.curve(table, TrafficSpec.uniform(6), RATES, **kwargs)
+    curve1 = run_curve(runner, table, TrafficSpec.uniform(6), RATES, **kwargs)
 
     entries = sorted(tmp_path.rglob("*.json"))
     assert entries
@@ -404,14 +404,14 @@ def test_corrupted_cache_entry_falls_back_to_recompute(table, tmp_path):
     entries[1].write_text(json.dumps({"unexpected": "shape"}))
 
     again = Runner(parallel=1, cache_dir=str(tmp_path))
-    curve2 = again.curve(table, TrafficSpec.uniform(6), RATES, **kwargs)
+    curve2 = run_curve(again, table, TrafficSpec.uniform(6), RATES, **kwargs)
     assert curve2 == curve1
     assert again.stats.errors == 2  # both bad entries detected...
     assert again.stats.misses == 2  # ...recomputed...
     assert again.stats.puts == 2  # ...and rewritten
 
     third = Runner(parallel=1, cache_dir=str(tmp_path))
-    curve3 = third.curve(table, TrafficSpec.uniform(6), RATES, **kwargs)
+    curve3 = run_curve(third, table, TrafficSpec.uniform(6), RATES, **kwargs)
     assert curve3 == curve1 and third.stats.misses == 0
 
 
@@ -455,8 +455,8 @@ def test_cache_corruption_evicts_both_storage_forms(tmp_path, tear):
 
 def test_no_cache_escape_hatch(table, serial_curve, tmp_path):
     runner = Runner(parallel=1, cache_dir=str(tmp_path), no_cache=True)
-    curve = runner.curve(
-        table, TrafficSpec.uniform(6), RATES,
+    curve = run_curve(
+        runner, table, TrafficSpec.uniform(6), RATES,
         name="mesh2x3", link_class="small", **BUDGET,
     )
     assert curve == serial_curve
