@@ -46,6 +46,8 @@ import argparse
 import sys
 from typing import Optional
 
+from .sim.traffic import GRID_KINDS, TRAFFIC_KINDS, TrafficSpec
+
 
 def _load_or_named(spec: str, n_routers: int):
     """A topology from a JSON file path, an expert name, or ``ns:<kind>:<class>``."""
@@ -216,65 +218,46 @@ def _print_health(runner, args) -> None:
         print(runner.health.summary(), file=sys.stderr)
 
 
-#: ``simulate --traffic`` choices (all synthetic generators in repro.sim).
-TRAFFIC_CHOICES = (
-    "uniform", "memory", "shuffle", "bit_complement",
-    "transpose", "tornado", "neighbor", "hotspot",
-)
+#: ``simulate --traffic`` choices: every synthetic traffic kind.
+TRAFFIC_CHOICES = tuple(TRAFFIC_KINDS)
 
 
 def _traffic_spec(args, topo):
-    """Build the TrafficSpec named by ``--traffic`` for a topology."""
-    from .runner import TrafficSpec
+    """Build the TrafficSpec named by ``--traffic`` for a topology.
 
+    A bad pattern (say ``--hot-fraction 1.5``) raises ``ValueError``,
+    most of them from the spec's own validation.
+    """
     kind = args.traffic
-    if kind == "uniform":
-        return TrafficSpec.uniform(topo.n)
-    if kind == "memory":
-        return TrafficSpec.memory(topo.layout)
-    if kind == "shuffle":
-        return TrafficSpec.shuffle(topo.n)
-    if kind == "bit_complement":
-        return TrafficSpec.bit_complement(topo.n)
-    if kind == "transpose":
-        return TrafficSpec.transpose(topo.layout)
-    if kind == "tornado":
-        return TrafficSpec.tornado(topo.layout)
-    if kind == "neighbor":
-        return TrafficSpec.neighbor(topo.layout)
     if kind == "hotspot":
         if args.hotspots:
             try:
-                spots = tuple(int(h) for h in args.hotspots.split(","))
+                spots = [int(h) for h in args.hotspots.split(",")]
             except ValueError:
-                raise SystemExit(
+                raise ValueError(
                     f"--hotspots must be a comma-separated router list, "
                     f"got {args.hotspots!r}"
-                )
-            bad = [h for h in spots if not 0 <= h < topo.n]
-            if bad:
-                raise SystemExit(
-                    f"--hotspots routers {bad} outside [0, {topo.n}) for "
-                    f"this {topo.n}-router topology"
-                )
+                ) from None
         else:
-            spots = tuple(topo.layout.mc_routers())
+            spots = topo.layout.mc_routers()
         return TrafficSpec.hotspot(topo.n, spots, args.hot_fraction)
-    raise SystemExit(f"unknown traffic pattern {kind!r}")
+    if kind in GRID_KINDS:
+        return TrafficSpec(kind, rows=topo.layout.rows, cols=topo.layout.cols)
+    return TrafficSpec(kind, n_nodes=topo.n)
 
 
 def cmd_simulate(args) -> int:
     from .experiments.registry import routed_table
 
     topo = _load_or_named(args.topology, args.routers)
-    spec = _traffic_spec(args, topo)
-    if args.burst:
-        from .sim import parse_burst
+    try:
+        spec = _traffic_spec(args, topo)
+        if args.burst:
+            from .sim import parse_burst
 
-        try:
             spec = spec.with_burst(parse_burst(args.burst))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     faults = None
     if args.faults:
         from .faults import parse_faults

@@ -29,6 +29,7 @@ from ..runner import tasks as _tasks
 from ..runner.hashing import config_hash
 from ..runner.orchestrator import Runner, SaturationJob, ensure_runner
 from ..sim.burst import BurstSpec
+from ..sim.traffic import TrafficSpec
 from ..topology import expert_topology
 from .registry import NDBT, routed_table
 
@@ -72,14 +73,14 @@ def _hotspot_router(topo) -> int:
     return order[1] if topo.n > 1 else order[0]
 
 
-def _traffic_axis(topo) -> List[Tuple[str, _tasks.TrafficSpec]]:
+def _traffic_axis(topo) -> List[Tuple[str, TrafficSpec]]:
     """The traffic scenarios for one topology."""
     n = topo.n
-    uniform = _tasks.TrafficSpec.uniform(n)
+    uniform = TrafficSpec.uniform(n)
     mmpp = uniform.with_burst(
         BurstSpec(kind="mmpp", p_on=0.1, p_off=0.3, seed=1)
     )
-    incast = _tasks.TrafficSpec.hotspot(
+    incast = TrafficSpec.hotspot(
         n, (_hotspot_router(topo),), hot_fraction=0.6
     ).with_burst(
         BurstSpec(kind="storm", p_on=0.1, p_off=0.2, seed=2)
@@ -230,7 +231,7 @@ def robustness_grid(
         base_jobs: List[SaturationJob] = []
         base_index: Dict[Tuple[str, str], int] = {}
         deg_jobs: List[SaturationJob] = []
-        grid: List[Tuple[Any, str, FaultSchedule, str, _tasks.TrafficSpec]] = []
+        grid: List[Tuple[Any, str, FaultSchedule, str, TrafficSpec]] = []
         for table in tables:
             topo = table.topology
             for t_label, spec in _traffic_axis(topo):

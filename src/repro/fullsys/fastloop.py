@@ -77,7 +77,7 @@ from ..routing.tables import RoutingTable
 from ..sim.fastnet import _NEVER, CompiledNetwork, FastNetworkSimulator
 from ..sim.packet import CONTROL_FLITS, DATA_FLITS
 from ..sim.rngstream import DOUBLE_SCALE, take_raw
-from ..sim.traffic import TrafficPattern
+from ..sim.traffic import TrafficSpec
 from .closedloop import (
     _IN_NET,
     _T_BIRTH,
@@ -110,7 +110,7 @@ class FastClosedLoopSimulator(ClosedLoopRetryCore, FastNetworkSimulator):
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         demand_rate: float,
         mlp_per_node: int = 8,
         memory_fraction: float = 0.5,

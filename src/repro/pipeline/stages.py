@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runner import tasks as _tasks
+from ..sim.traffic import TrafficSpec
 from ..runner.orchestrator import Runner, RoutingJob, SaturationJob, ensure_runner
 from .design import DesignPoint
 
@@ -247,7 +248,7 @@ def evaluate_tables(
         jobs = [
             SaturationJob(
                 table=tables[i],
-                traffic=_tasks.TrafficSpec.uniform(tables[i].topology.n),
+                traffic=TrafficSpec.uniform(tables[i].topology.n),
                 name=tables[i].topology.name,
                 warmup=warmup,
                 measure=measure,

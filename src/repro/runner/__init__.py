@@ -24,6 +24,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 * :mod:`~repro.runner.artifacts` — the frozen-artifact pipeline.
 """
 
+from ..sim.traffic import TrafficSpec
 from .cache import MISS, CacheStats, ResultCache, default_cache_dir
 from .executor import (
     ParallelExecutor,
@@ -47,7 +48,7 @@ from .orchestrator import (
     ensure_runner,
     task_key,
 )
-from .tasks import TrafficSpec, decode_table, encode_table
+from .tasks import decode_table, encode_table
 
 __all__ = [
     "Runner",

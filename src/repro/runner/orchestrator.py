@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from ..routing.tables import RoutingTable
 from ..sim.fastnet import DEFAULT_ENGINE, resolve_engine
 from ..sim.sweep import SweepResult, assemble_curve
+from ..sim.traffic import TrafficSpec
 from . import tasks
 from .cache import MISS, CacheStats, ResultCache
 from .executor import (
@@ -57,7 +58,7 @@ class CurveJob:
     """One latency-throughput curve to produce (a batch of sim points)."""
 
     table: RoutingTable
-    traffic: tasks.TrafficSpec
+    traffic: TrafficSpec
     rates: Tuple[float, ...]
     name: str
     link_class: Optional[str] = None
@@ -73,7 +74,7 @@ class SaturationJob:
     """One binary-search saturation probe to run."""
 
     table: RoutingTable
-    traffic: tasks.TrafficSpec
+    traffic: TrafficSpec
     name: str
     lo: float = 0.01
     hi: float = 1.0

@@ -4,8 +4,7 @@ A task is a *pure-data* payload (nested dicts/lists of JSON scalars) plus
 a module-level function that rebuilds the live objects and runs the work.
 Pure data serves three masters at once:
 
-* **transport** — payloads pickle cheaply into worker processes (the
-  live :class:`~repro.sim.traffic.TrafficPattern` closures do not);
+* **transport** — payloads pickle cheaply into worker processes;
 * **caching** — the payload *is* the cache identity: its content hash
   keys the on-disk result store;
 * **reproducibility** — a payload fully determines its result, so a
@@ -25,7 +24,7 @@ workers and cache exactly like sim points do.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,17 +33,7 @@ from ..routing.tables import RoutingTable
 from ..sim.fastnet import DEFAULT_ENGINE
 from ..sim.network import SimStats
 from ..sim.sweep import find_saturation, run_point
-from ..sim.traffic import (
-    TrafficPattern,
-    bit_complement,
-    hotspot,
-    memory_traffic,
-    neighbor,
-    shuffle_pattern,
-    tornado,
-    transpose,
-    uniform_random,
-)
+from ..sim.traffic import TrafficSpec
 from ..topology import Layout, Topology
 from .hashing import CanonicalDoc
 
@@ -61,142 +50,6 @@ TASK_VERSIONS = {
     "routing": 9,
     "gap_curve": 9,
 }
-
-
-# ---------------------------------------------------------------------------
-# Traffic specs: picklable, hashable stand-ins for TrafficPattern closures.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """A pure-data description of a synthetic traffic pattern."""
-
-    kind: str
-    n_nodes: int = 0
-    rows: int = 0
-    cols: int = 0
-    hotspots: Tuple[int, ...] = ()
-    hot_fraction: float = 0.5
-    #: Optional burst modulation as a :meth:`BurstSpec.key` tuple
-    #: (hashable, canonical — the dataclass stays frozen and cache keys
-    #: stay stable).
-    burst: Optional[Tuple] = None
-
-    def with_burst(self, spec) -> "TrafficSpec":
-        """This spec modulated by a :class:`~repro.sim.burst.BurstSpec`."""
-        import dataclasses
-
-        return dataclasses.replace(
-            self, burst=None if spec is None else spec.key()
-        )
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def uniform(cls, n_nodes: int) -> "TrafficSpec":
-        return cls("uniform", n_nodes=n_nodes)
-
-    @classmethod
-    def memory(cls, layout: Layout) -> "TrafficSpec":
-        return cls("memory", rows=layout.rows, cols=layout.cols)
-
-    @classmethod
-    def shuffle(cls, n_nodes: int) -> "TrafficSpec":
-        return cls("shuffle", n_nodes=n_nodes)
-
-    @classmethod
-    def bit_complement(cls, n_nodes: int) -> "TrafficSpec":
-        return cls("bit_complement", n_nodes=n_nodes)
-
-    @classmethod
-    def transpose(cls, layout: Layout) -> "TrafficSpec":
-        return cls("transpose", rows=layout.rows, cols=layout.cols)
-
-    @classmethod
-    def tornado(cls, layout: Layout) -> "TrafficSpec":
-        return cls("tornado", rows=layout.rows, cols=layout.cols)
-
-    @classmethod
-    def neighbor(cls, layout: Layout) -> "TrafficSpec":
-        return cls("neighbor", rows=layout.rows, cols=layout.cols)
-
-    @classmethod
-    def hotspot(
-        cls, n_nodes: int, hotspots: Tuple[int, ...], hot_fraction: float = 0.5
-    ) -> "TrafficSpec":
-        return cls(
-            "hotspot",
-            n_nodes=n_nodes,
-            hotspots=tuple(sorted(hotspots)),
-            hot_fraction=hot_fraction,
-        )
-
-    # -- (de)serialization ---------------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "n_nodes": self.n_nodes,
-            "rows": self.rows,
-            "cols": self.cols,
-            "hotspots": list(self.hotspots),
-            "hot_fraction": self.hot_fraction,
-            "burst": None if self.burst is None else list(self.burst),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TrafficSpec":
-        burst = d.get("burst")
-        if burst is not None:
-            # Pre-v8 keys are 6-tuples; the Pareto shape joined in v8.
-            kind, p_on, p_off, on_scale, off_scale, seed, *rest = burst
-            burst = (
-                str(kind), float(p_on), float(p_off),
-                None if on_scale is None else float(on_scale),
-                float(off_scale), int(seed),
-                float(rest[0]) if rest else 1.5,
-            )
-        return cls(
-            kind=d["kind"],
-            n_nodes=int(d.get("n_nodes", 0)),
-            rows=int(d.get("rows", 0)),
-            cols=int(d.get("cols", 0)),
-            hotspots=tuple(int(h) for h in d.get("hotspots", ())),
-            hot_fraction=float(d.get("hot_fraction", 0.5)),
-            burst=burst,
-        )
-
-    def build(self) -> TrafficPattern:
-        """Materialize the live pattern (closures and all)."""
-        pattern = self._build_base()
-        if self.burst is not None:
-            from ..sim.burst import BurstSpec
-
-            kind, p_on, p_off, on_scale, off_scale, seed, *rest = self.burst
-            pattern = pattern.with_burst(BurstSpec(
-                kind=kind, p_on=p_on, p_off=p_off,
-                on_scale=on_scale, off_scale=off_scale, seed=seed,
-                alpha=rest[0] if rest else 1.5,
-            ))
-        return pattern
-
-    def _build_base(self) -> TrafficPattern:
-        if self.kind == "uniform":
-            return uniform_random(self.n_nodes)
-        if self.kind == "shuffle":
-            return shuffle_pattern(self.n_nodes)
-        if self.kind == "bit_complement":
-            return bit_complement(self.n_nodes)
-        if self.kind == "hotspot":
-            return hotspot(self.n_nodes, list(self.hotspots), self.hot_fraction)
-        layout = Layout(rows=self.rows, cols=self.cols)
-        if self.kind == "memory":
-            return memory_traffic(layout)
-        if self.kind == "transpose":
-            return transpose(layout)
-        if self.kind == "tornado":
-            return tornado(layout)
-        if self.kind == "neighbor":
-            return neighbor(layout)
-        raise ValueError(f"unknown traffic kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +224,7 @@ def _decode_faults(payload: Dict[str, Any]):
 def sim_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry: one injection-rate sample, stats as plain JSON."""
     table = cached_table(payload["table"])
-    traffic = TrafficSpec.from_dict(payload["traffic"]).build()
+    traffic = TrafficSpec.from_dict(payload["traffic"])
     stats = run_point(
         table,
         traffic,
@@ -417,7 +270,7 @@ def sim_batch_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..sim.batch import run_batch
 
     table = cached_table(payload["table"])
-    traffic = TrafficSpec.from_dict(payload["traffic"]).build()
+    traffic = TrafficSpec.from_dict(payload["traffic"])
     stats = run_batch(
         table,
         traffic,
@@ -465,7 +318,7 @@ def sat_search_payload(
 def sat_search_task(payload: Dict[str, Any]) -> float:
     """Worker entry: one full binary-search saturation probe."""
     table = cached_table(payload["table"])
-    traffic = TrafficSpec.from_dict(payload["traffic"]).build()
+    traffic = TrafficSpec.from_dict(payload["traffic"])
     return float(
         find_saturation(
             table,

@@ -29,7 +29,7 @@ from .burst import BURST_KINDS, BurstSpec, BurstState, parse_burst
 from .trace import TRACE_CHUNK_CYCLES, BatchTrace, TraceStream, pregenerate_batch
 from .traffic import (
     DestSpec,
-    TrafficPattern,
+    TrafficSpec,
     bit_complement,
     hotspot,
     memory_traffic,
@@ -53,7 +53,7 @@ __all__ = [
     "CONTROL_FLITS",
     "DATA_FLITS",
     "MEAN_FLITS_PER_PACKET",
-    "TrafficPattern",
+    "TrafficSpec",
     "BURST_KINDS",
     "BurstSpec",
     "BurstState",

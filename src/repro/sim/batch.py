@@ -37,8 +37,7 @@ What turbo gives up (the documented relaxations):
    scans).  Both are livelock-free rotating priorities.
 
 Restrictions (raise ``ValueError``): fault schedules and closed-loop
-hooks are unsupported (use the fast engine), and the traffic pattern
-must carry a :class:`~repro.sim.traffic.DestSpec`.
+hooks are unsupported (use the fast engine).
 
 ``ENGINES["turbo"]`` registers :class:`TurboNetworkSimulator`, a
 single-point adapter (a 1-lane batch), so ``--engine turbo`` works
@@ -62,7 +61,7 @@ from .network import (
     SimStats,
 )
 from .trace import BatchTrace, pregenerate_batch
-from .traffic import TrafficPattern
+from .traffic import TrafficSpec
 
 #: "Never" sentinel in the dense int32 gate arrays (far beyond any
 #: cycle count, with headroom so ``_BIG + small`` cannot overflow).
@@ -380,7 +379,7 @@ def _run_turbo(
 
 def run_batch(
     table: RoutingTable,
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     lanes: Sequence[Tuple[float, int]],
     warmup: int,
     measure: int,
@@ -422,7 +421,7 @@ class TurboNetworkSimulator:
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         injection_rate: float,
         seed: int = 0,
         vc_buffer_flits: int = DEFAULT_VC_BUFFER_FLITS,

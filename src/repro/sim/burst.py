@@ -1,7 +1,7 @@
 """Markov-modulated bursty traffic: on/off gates over any pattern.
 
 A :class:`BurstSpec` attaches a two-state Markov chain (per node, or one
-global chain) to a :class:`~repro.sim.traffic.TrafficPattern`.  Each
+global chain) to a :class:`~repro.sim.traffic.TrafficSpec`.  Each
 cycle every node is ON or OFF; the node's *effective* injection rate is
 ``rate * on_scale`` while ON and ``rate * off_scale`` while OFF.  By
 default ``on_scale`` is normalized so the stationary mean effective rate
@@ -43,7 +43,7 @@ long horizons).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -132,32 +132,9 @@ class BurstSpec:
     def max_scale(self) -> float:
         return max(self.resolved_on_scale, self.off_scale)
 
-    # -- (de)serialization ---------------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "p_on": self.p_on,
-            "p_off": self.p_off,
-            "on_scale": self.on_scale,
-            "off_scale": self.off_scale,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "BurstSpec":
-        return cls(
-            kind=str(d["kind"]),
-            p_on=float(d["p_on"]),
-            p_off=float(d["p_off"]),
-            on_scale=None if d.get("on_scale") is None else float(d["on_scale"]),
-            off_scale=float(d.get("off_scale", 0.0)),
-            seed=int(d.get("seed", 0)),
-            alpha=float(d.get("alpha", 1.5)),
-        )
-
     def key(self) -> tuple:
-        """Canonical hashable identity (memo keys, TrafficSpec fields)."""
+        """Canonical identity: the field values in declaration order, so
+        ``BurstSpec(*spec.key()) == spec`` (the traffic doc's ``burst``)."""
         return (
             self.kind, self.p_on, self.p_off,
             self.on_scale, self.off_scale, self.seed, self.alpha,

@@ -16,14 +16,14 @@ structures:
   simulator instance — all rate points of a sweep and all bisection
   probes of a saturation search reuse one compile, leaving only O(#VC
   slots) per-run state to allocate per measurement;
-* **pre-generated traffic traces** — injection events for every traffic
-  pattern are pre-computed in large numpy chunks by
-  :class:`~repro.sim.trace.TraceStream` from the pattern's
-  :class:`~repro.sim.traffic.DestSpec`, replicating the reference
-  engine's exact RNG draw order from raw PCG64 words.  The generation
-  block of the cycle loop is then just "drain this cycle's precomputed
-  arrivals": zero per-packet Python RNG or closure calls, and no second,
-  scalar generation path;
+* **pre-generated traffic traces** — injection events for every
+  :class:`~repro.sim.traffic.TrafficSpec` are pre-computed in large
+  numpy chunks by :class:`~repro.sim.trace.TraceStream` from the
+  spec's :class:`~repro.sim.traffic.DestSpec`, replicating the
+  reference engine's exact RNG draw order from raw PCG64 words.  The
+  generation block of the cycle loop is then just "drain this cycle's
+  precomputed arrivals": zero per-packet Python RNG calls, and no
+  second, scalar generation path;
 * **integer channel ids** — directed link ``k`` of the topology is
   channel ``k``; the injection pseudo-channel of router ``r`` is channel
   ``L + r``.  Per-(channel, VC) state lives in flat lists indexed by
@@ -94,7 +94,7 @@ from .network import (
     SimStats,
 )
 from .trace import TraceStream
-from .traffic import TrafficPattern
+from .traffic import TrafficSpec
 
 #: Queued packet record: (ready, key, size, src, dst, birth) where
 #: ``key`` is the precomputed request at the downstream router (-1 =
@@ -290,7 +290,7 @@ class FastNetworkSimulator:
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         injection_rate: float,
         seed: int = 0,
         vc_buffer_flits: int = DEFAULT_VC_BUFFER_FLITS,

@@ -20,9 +20,9 @@ Those three facts let batched generation replicate the reference's
 per-packet draw sequence exactly: pull raw 64-bit words in bulk, convert
 to doubles or Lemire-32 bounded integers *positionally*, and track the
 half-word cache arithmetic instead of calling the Generator per packet.
-The helpers here are shared by :meth:`repro.sim.traffic.TrafficPattern.
-destinations` (vectorized destination draws against a caller's
-Generator) and :mod:`repro.sim.trace` (whole-trace pregeneration).
+:mod:`repro.sim.trace` (whole-trace pregeneration) and
+:mod:`repro.fullsys.fastloop` (closed-loop draws) read their streams
+through these helpers.
 
 Every helper is pinned by the differential and property suites; a
 numpy release that changed the underlying algorithms would surface as
@@ -97,26 +97,3 @@ def lemire32_scalar(next_u32, bound: int) -> int:
         prod = next_u32() * bound
         if (prod & 0xFFFFFFFF) >= threshold:
             return prod >> 32
-
-
-def get_half_cache(rng: np.random.Generator) -> Tuple[bool, int]:
-    """The bit generator's pending high half-word, if any."""
-    st = rng.bit_generator.state
-    return bool(st.get("has_uint32", 0)), int(st.get("uinteger", 0))
-
-
-def set_half_cache(rng: np.random.Generator, has: bool, value: int) -> None:
-    """Install a pending high half-word into the bit generator state."""
-    st = rng.bit_generator.state
-    st["has_uint32"] = int(has)
-    st["uinteger"] = int(value) if has else 0
-    rng.bit_generator.state = st
-
-
-def halves_consumed(k: int, cache_has: int) -> int:
-    """Fresh 64-bit words consumed by ``k`` half-word draws.
-
-    Starting with ``cache_has`` (0/1) pending halves: each fresh word
-    serves two half-word draws (low first, high cached).
-    """
-    return (k + 1 - cache_has) // 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..routing.tables import RoutingTable
 from .fastnet import FastNetworkSimulator
-from .traffic import TrafficPattern
+from .traffic import TrafficSpec
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def recovery_metrics(
 
 def measure_activity(
     table: RoutingTable,
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     rate: float,
     warmup: int = 300,
     measure: int = 1200,

@@ -19,7 +19,7 @@ from ..routing.tables import RoutingTable
 from ..topology.layout import CLASS_CLOCK_GHZ
 from .fastnet import DEFAULT_ENGINE, resolve_engine
 from .network import SimStats
-from .traffic import TrafficPattern
+from .traffic import TrafficSpec
 
 #: A run saturates when latency exceeds this multiple of zero-load latency
 #: or when the network stops accepting the offered load.
@@ -86,7 +86,7 @@ class SweepResult:
 
 def run_point(
     table: RoutingTable,
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     rate: float,
     warmup: int = 500,
     measure: int = 2000,
@@ -144,7 +144,6 @@ def assemble_curve(
     stats_list: Iterable[SimStats],
     name: str,
     link_class: Optional[str],
-    stop_after_saturation: bool = True,
 ) -> SweepResult:
     """Build a :class:`SweepResult` from per-rate measurements.
 
@@ -164,21 +163,20 @@ def assemble_curve(
             zero_load = lat
         point = classify_point(rate, stats, zero_load)
         result.points.append(point)
-        if point.saturated and stop_after_saturation:
+        if point.saturated:
             break
     return result
 
 
 def latency_throughput_curve(
     table: RoutingTable,
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     rates: Sequence[float],
     name: Optional[str] = None,
     link_class: Optional[str] = None,
     warmup: int = 500,
     measure: int = 2000,
     seed: int = 0,
-    stop_after_saturation: bool = True,
     engine: str = DEFAULT_ENGINE,
     **sim_kw,
 ) -> SweepResult:
@@ -202,13 +200,12 @@ def latency_throughput_curve(
         measurements(),
         name=name or table.topology.name,
         link_class=link_class or table.topology.link_class,
-        stop_after_saturation=stop_after_saturation,
     )
 
 
 def find_saturation(
     table: RoutingTable,
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     lo: float = 0.01,
     hi: float = 1.0,
     iters: int = 6,

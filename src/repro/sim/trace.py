@@ -2,13 +2,13 @@
 
 The reference simulator's (the test-only oracle
 ``tests/network_oracle.py``) per-cycle generation makes one scalar
-``destination`` closure call and one scalar ``rng.random()`` size draw
-per packet — the RNG-bound work PR 2's engine identified as the sweep
-hot path's ceiling.  :class:`TraceStream` removes it: injection events
-``(cycle, src, dst, size)`` are pre-generated in large numpy chunks from
-**raw 64-bit PCG64 words** (:mod:`repro.sim.rngstream`), replicating the
-reference engine's exact draw order so the fast engine's statistics stay
-bit-identical to the oracle:
+destination draw (the per-packet laws of ``tests/traffic_oracle.py``)
+and one scalar ``rng.random()`` size draw per packet — RNG-bound work
+that caps a sweep's hot path.  :class:`TraceStream` removes it:
+injection events ``(cycle, src, dst, size)`` are pre-generated in large
+numpy chunks from **raw 64-bit PCG64 words** (:mod:`repro.sim.rngstream`),
+replicating the reference engine's exact draw order so the fast engine's
+statistics stay bit-identical to the oracle:
 
 * per cycle, ``n`` Bernoulli doubles (the reference's ``rng.random(n)``);
 * per winning node, in ascending node order, the pattern's destination
@@ -30,9 +30,9 @@ Two generation paths share one buffered raw-word stream:
   plain Python integer arithmetic — still far cheaper than per-packet
   Generator calls.
 
-Both read the pattern's :class:`~repro.sim.traffic.DestSpec`, which
-every :class:`~repro.sim.traffic.TrafficPattern` carries, so a trace is
-the fast open-loop engine's only generation path.
+Both read the :class:`~repro.sim.traffic.DestSpec` that every
+:class:`~repro.sim.traffic.TrafficSpec` builds from its fields, so a
+trace is the fast open-loop engine's only generation path.
 
 A trace owns its Generator outright: it may pre-draw past the cycles
 consumed so far, which is invisible to the simulation (generation is the
@@ -54,7 +54,7 @@ from .rngstream import (
     lemire32_scalar,
     take_raw,
 )
-from .traffic import TrafficPattern
+from .traffic import TrafficSpec
 
 #: Cycles generated per chunk, at most.  Large enough to amortize the
 #: numpy pass; the fast engine's ``run`` also stops each chunk at the
@@ -74,12 +74,12 @@ class TraceStream:
     """Pre-generated injection events for one (pattern, rate, seed) run.
 
     Destinations follow the pattern's :class:`~repro.sim.traffic.
-    DestSpec`, which every :class:`TrafficPattern` carries.
+    DestSpec`.
     """
 
     def __init__(
         self,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         n_nodes: int,
         rate: float,
         rng: np.random.Generator,
@@ -479,7 +479,7 @@ def _batch_dests(
 
 
 def pregenerate_batch(
-    traffic: TrafficPattern,
+    traffic: TrafficSpec,
     n_nodes: int,
     lanes: Sequence[Tuple[float, int]],
     cycles: int,

@@ -1,4 +1,4 @@
-"""Synthetic traffic generators (Garnet Synthetic Traffic equivalents).
+"""Synthetic traffic patterns (Garnet Synthetic Traffic equivalents).
 
 Patterns used in the paper's evaluation:
 
@@ -11,49 +11,41 @@ Patterns used in the paper's evaluation:
   ``(2*src + 1) mod n`` (high half), the gem5 pattern NetSmith's ShufOpt
   variant optimizes for.
 
-Control (1 flit) and data (9 flit) packets are injected with equal
-likelihood.  Generators draw from an explicit ``numpy`` RNG for
-reproducibility.
+Bit complement, transpose, tornado, neighbor and a hotspot mixture round
+out ``repro simulate --traffic`` and the robustness grid.  Control
+(1 flit) and data (9 flit) packets are injected with equal likelihood.
 
-Every pattern carries a :class:`DestSpec` — a pure-data description of
-its destination distribution that the vectorized paths consume:
-:meth:`TrafficPattern.destinations` draws many destinations in one batch
-(bit-identical values *and* stream consumption to the scalar
-:meth:`TrafficPattern.destination` loop), :mod:`repro.sim.trace`
-pre-generates whole injection traces from it without any per-packet
-Python calls, and the fast closed-loop engine replays its draws from raw
-words.  The spec is required: a pattern without one is rejected at
-construction, so no consumer keeps a second, scalar generation path.
-The scalar ``dest_fn`` closure stays the definition the reference
-oracle (``tests/network_oracle.py``) calls and the spec must match.
+A pattern is a :class:`TrafficSpec`: frozen pure data, so it pickles into
+worker processes and its :meth:`TrafficSpec.as_dict` doc is part of every
+simulation task's cache key.  Its destination law is a :class:`DestSpec`,
+built once per spec by its kind's function in :data:`TRAFFIC_KINDS`.
+Every engine draws from that spec: :class:`~repro.sim.trace.TraceStream`
+pre-generates the fast engine's injection traces, turbo's
+:func:`~repro.sim.trace.pregenerate_batch` draws whole lanes, and the
+closed loop replays its draws from raw words.  The per-packet scalar
+laws the reference oracles call live in ``tests/traffic_oracle.py``: they
+are the independent definition every DestSpec must match.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Any, ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..topology import Layout
 from .burst import BurstSpec
-from .packet import CONTROL_FLITS, DATA_FLITS
-from .rngstream import (
-    doubles_from_raw,
-    get_half_cache,
-    halves_consumed,
-    lemire32,
-    set_half_cache,
-    take_raw,
-)
 
 
 @dataclass
 class DestSpec:
     """Vectorizable description of a destination distribution.
 
-    ``kind`` selects the draw recipe (matching the scalar closures
-    exactly, including RNG consumption):
+    ``kind`` selects the draw recipe (matching the scalar laws exactly,
+    including RNG consumption):
 
     * ``"table"`` — deterministic permutations: ``dst = table[src]``,
       no RNG draws;
@@ -94,172 +86,147 @@ class DestSpec:
         return min(reachable)
 
 
-@dataclass
-class TrafficPattern:
-    """A destination distribution plus the packet-size mix."""
+@dataclass(frozen=True)
+class TrafficSpec:
+    """A synthetic traffic pattern as pure data.
 
-    name: str
-    n_nodes: int
-    dest_fn: Callable[[int, np.random.Generator], int]
-    data_fraction: float = 0.5
-    #: Required: ``dest_fn``'s law in vectorizable form (checked in
-    #: ``__post_init__``; the ``None`` default only lets the field keep
-    #: its keyword position after the defaulted ones).
-    dest_spec: Optional[DestSpec] = None
-    #: Optional on/off modulation (:mod:`repro.sim.burst`).  Gates scale
-    #: the per-cycle injection threshold from a dedicated RNG chain; the
-    #: destination/size draw stream is unchanged, so bursty patterns stay
-    #: bit-identical across engines and through :class:`~repro.sim.trace.
-    #: TraceStream`.
+    ``kind`` names the destination law, a key of :data:`TRAFFIC_KINDS`.
+    Uniform, shuffle and bit-complement traffic read ``n_nodes``; memory,
+    transpose, tornado and neighbor traffic read the ``rows`` x ``cols``
+    grid; hotspot traffic reads ``n_nodes``, ``hotspots`` and
+    ``hot_fraction``.  ``burst`` optionally modulates injection
+    (:mod:`repro.sim.burst`): its gates scale the per-cycle injection
+    threshold from a dedicated RNG chain, so the destination and size
+    draws are unchanged and bursty patterns stay bit-identical across
+    engines.
+
+    Construction validates the fields, so a bad pattern is refused before
+    any engine runs.
+    """
+
+    kind: str
+    n_nodes: int = 0
+    rows: int = 0
+    cols: int = 0
+    hotspots: Tuple[int, ...] = ()
+    hot_fraction: float = 0.5
     burst: Optional[BurstSpec] = None
 
+    #: Probability that a packet is a data packet (else control).
+    data_fraction: ClassVar[float] = 0.5
+
     def __post_init__(self):
-        if not isinstance(self.dest_spec, DestSpec):
+        if self.kind not in TRAFFIC_KINDS:
             raise ValueError(
-                f"traffic pattern {self.name!r} has no DestSpec: the fast "
-                f"engines and trace generation draw destinations from it, "
-                f"so pass dest_spec=DestSpec(...) describing dest_fn's law"
+                f"unknown traffic kind {self.kind!r}: expected one of "
+                f"{', '.join(TRAFFIC_KINDS)}"
             )
+        if not 0.0 <= self.hot_fraction <= 1.0:
+            raise ValueError(
+                f"hot_fraction must be within [0, 1], got {self.hot_fraction!r}"
+            )
+        if self.kind == "hotspot":
+            if len(self.hotspots) == 0:
+                raise ValueError(
+                    "hotspot traffic must name at least one router "
+                    "(got an empty sequence)"
+                )
+            bad = [h for h in self.hotspots if not 0 <= h < self.n_nodes]
+            if bad:
+                raise ValueError(
+                    f"hotspot routers {bad} outside [0, {self.n_nodes})"
+                )
 
-    def with_burst(self, spec: Optional[BurstSpec]) -> "TrafficPattern":
-        """A copy of this pattern modulated by ``spec``."""
-        import dataclasses
+    @cached_property
+    def dest_spec(self) -> DestSpec:
+        """The destination law as arrays, built on first use."""
+        return TRAFFIC_KINDS[self.kind](self)
 
-        return dataclasses.replace(self, burst=spec)
+    def with_burst(self, burst: Optional[BurstSpec]) -> "TrafficSpec":
+        """This pattern modulated by ``burst`` (``None``: stationary)."""
+        return dataclasses.replace(self, burst=burst)
 
-    def destination(self, src: int, rng: np.random.Generator) -> int:
-        return self.dest_fn(src, rng)
+    # -- constructors --------------------------------------------------------
+    @classmethod
+    def uniform(cls, n_nodes: int) -> "TrafficSpec":
+        """Uniform all-to-all (the paper's coherence traffic)."""
+        return cls("uniform", n_nodes=n_nodes)
 
-    def destinations(
-        self, srcs: Sequence[int], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Destinations for a batch of sources in one vectorized pass.
+    @classmethod
+    def memory(cls, layout: Layout) -> "TrafficSpec":
+        """All nodes to uniformly-chosen memory-controller routers."""
+        return cls("memory", rows=layout.rows, cols=layout.cols)
 
-        Bit-identical to ``[destination(s, rng) for s in srcs]`` — same
-        values *and* the same final RNG stream position — so scalar and
-        batched consumers can interleave freely.  Degenerate bounds that
-        numpy special-cases (and the rare Lemire rejection) take the
-        scalar loop.
-        """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        spec = self.dest_spec
-        if srcs.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if spec.kind == "table":
-            return spec.table[srcs]
-        if spec.kind == "uniform":
-            d = rng.integers(self.n_nodes - 1, size=srcs.size)
-            return d + (d >= srcs)
-        if spec.kind == "memory":
-            bounds = spec.bounds[srcs]
-            if (bounds <= 1).any():
-                return self._scalar_destinations(srcs, rng)
-            vals = _lemire_batch(rng, bounds)
-            if vals is None:
-                return self._scalar_destinations(srcs, rng)
-            return spec.table[srcs, vals]
-        if spec.kind == "hotspot":
-            return self._hotspot_destinations(spec, srcs, rng)
-        raise ValueError(f"unknown dest spec kind {spec.kind!r}")
+    @classmethod
+    def shuffle(cls, n_nodes: int) -> "TrafficSpec":
+        """gem5's shuffle permutation (paper Section V-E)."""
+        return cls("shuffle", n_nodes=n_nodes)
 
-    def _scalar_destinations(
-        self, srcs: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return np.array(
-            [int(self.dest_fn(int(s), rng)) for s in srcs], dtype=np.int64
+    @classmethod
+    def bit_complement(cls, n_nodes: int) -> "TrafficSpec":
+        """Garnet's bit-complement permutation: ``dest = n-1-src``."""
+        return cls("bit_complement", n_nodes=n_nodes)
+
+    @classmethod
+    def transpose(cls, layout: Layout) -> "TrafficSpec":
+        """Matrix transpose ``(x, y) -> (y, x)``; on non-square grids
+        out-of-range transposes wrap modulo the grid, as in Garnet."""
+        return cls("transpose", rows=layout.rows, cols=layout.cols)
+
+    @classmethod
+    def tornado(cls, layout: Layout) -> "TrafficSpec":
+        """Half-way around the row ring: the classic adversary for
+        ring-like topologies (stresses long horizontal paths)."""
+        return cls("tornado", rows=layout.rows, cols=layout.cols)
+
+    @classmethod
+    def neighbor(cls, layout: Layout) -> "TrafficSpec":
+        """East neighbor with wraparound: the best case for meshes, and
+        it exposes topologies that sacrificed local links."""
+        return cls("neighbor", rows=layout.rows, cols=layout.cols)
+
+    @classmethod
+    def hotspot(
+        cls, n_nodes: int, hotspots: Sequence[int], hot_fraction: float = 0.5
+    ) -> "TrafficSpec":
+        """``hot_fraction`` of traffic to the ``hotspots`` routers, the
+        rest uniform (a general-purpose stress pattern)."""
+        return cls(
+            "hotspot",
+            n_nodes=n_nodes,
+            hotspots=tuple(sorted(hotspots)),
+            hot_fraction=hot_fraction,
         )
 
-    def _hotspot_destinations(
-        self, spec: DestSpec, srcs: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        n = self.n_nodes
-        hot_bounds = spec.bounds[srcs]
-        if n - 1 < 2 or (hot_bounds == 1).any():
-            return self._scalar_destinations(srcs, rng)
-        k = srcs.size
-        state0 = rng.bit_generator.state
-        has, cached = get_half_cache(rng)
-        fresh = k + halves_consumed(k, int(has))
-        u = take_raw(rng, fresh)
-        # Per element: one double (a fresh word), then one bounded draw
-        # (a half-word).  Word position of element i's double:
-        idx = np.arange(k)
-        dpos = idx + (idx + 1 - int(has)) // 2
-        hot = doubles_from_raw(u[dpos]) < spec.hot_fraction
-        eff_hot = hot & (hot_bounds > 0)
-        bounds = np.where(eff_hot, hot_bounds, n - 1)
-        # Only every other element consumes a fresh word for its bounded
-        # draw (the alternating one whose half-word cache is empty).
-        consumes = ((idx + int(has)) % 2) == 0
-        halves, leftover = _halfword_sequence(
-            u[(dpos + 1)[consumes]], int(has), cached, k
+    # -- (de)serialization ---------------------------------------------------
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "kind": self.kind,
+            "n_nodes": self.n_nodes,
+            "rows": self.rows,
+            "cols": self.cols,
+            "hotspots": list(self.hotspots),
+            "hot_fraction": self.hot_fraction,
+            "burst": None if self.burst is None else list(self.burst.key()),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, Any]) -> "TrafficSpec":
+        burst = doc["burst"]
+        return cls(
+            kind=doc["kind"],
+            n_nodes=doc["n_nodes"],
+            rows=doc["rows"],
+            cols=doc["cols"],
+            hotspots=tuple(doc["hotspots"]),
+            hot_fraction=doc["hot_fraction"],
+            burst=None if burst is None else BurstSpec(*burst),
         )
-        vals, reject = lemire32(halves, bounds)
-        if reject.any():
-            rng.bit_generator.state = state0
-            return self._scalar_destinations(srcs, rng)
-        hot_dst = spec.table[srcs, np.where(eff_hot, vals, 0)]
-        uni_dst = vals + (vals >= srcs)
-        set_half_cache(rng, leftover is not None, leftover or 0)
-        return np.where(eff_hot, hot_dst, uni_dst)
-
-    def packet_size(self, rng: np.random.Generator) -> int:
-        return DATA_FLITS if rng.random() < self.data_fraction else CONTROL_FLITS
-
-    def demand_matrix(self) -> np.ndarray:
-        """Expected flow weights W[s,d] (rows sum to 1) for analysis."""
-        n = self.n_nodes
-        w = np.zeros((n, n))
-        probe = np.random.default_rng(12345)
-        samples = 400
-        for s in range(n):
-            for _ in range(samples):
-                w[s, self.dest_fn(s, probe)] += 1.0 / samples
-        return w
 
 
-def _halfword_sequence(int_words, has, cached, k):
-    """The first ``k`` half-words served to bounded draws.
-
-    ``int_words`` are the fresh words consumed *by the integer draws*,
-    in order.  The half-word sequence is the pending cached high half
-    (if ``has``) followed by low/high pairs of each fresh word.  Returns
-    ``(halves[:k], leftover)`` where ``leftover`` is the high half left
-    pending afterwards (or None).
-    """
-    seq = np.empty(has + 2 * int_words.size, dtype=np.uint64)
-    if has:
-        seq[0] = cached
-    seq[has::2] = int_words & np.uint64(0xFFFFFFFF)
-    seq[has + 1 :: 2] = int_words >> np.uint64(32)
-    leftover = int(seq[k]) if seq.size > k else None
-    return seq[:k], leftover
-
-
-def _lemire_batch(rng, bounds) -> Optional[np.ndarray]:
-    """Batched ``[integers(b) for b in bounds]`` (all bounds >= 2).
-
-    Returns None if any draw would hit numpy's one-in-billions Lemire
-    rejection — the caller re-runs the scalar path from the untouched
-    generator state.
-    """
-    k = len(bounds)
-    state0 = rng.bit_generator.state
-    has, cached = get_half_cache(rng)
-    u = take_raw(rng, halves_consumed(k, int(has)))
-    halves, leftover = _halfword_sequence(u, int(has), cached, k)
-    vals, reject = lemire32(halves, bounds)
-    if reject.any():
-        rng.bit_generator.state = state0
-        return None
-    set_half_cache(rng, leftover is not None, leftover or 0)
-    return vals
-
-
-def _dest_table(dest, n_nodes: int) -> np.ndarray:
-    """Tabulate a deterministic (RNG-free) destination closure."""
-    return np.array([dest(s, None) for s in range(n_nodes)], dtype=np.int64)
-
+# ---------------------------------------------------------------------------
+# DestSpec constructors, one per kind.
+# ---------------------------------------------------------------------------
 
 def _choice_rows(candidates: np.ndarray, n_nodes: int):
     """Per-src candidate rows (right-padded) + per-src bounds."""
@@ -272,141 +239,88 @@ def _choice_rows(candidates: np.ndarray, n_nodes: int):
     return table, bounds
 
 
-def uniform_random(n_nodes: int) -> TrafficPattern:
-    """Uniform all-to-all (the paper's coherence traffic)."""
+def _permutation(dst: np.ndarray) -> DestSpec:
+    """A table spec, each self-mapping moved on to the next router."""
+    n = dst.size
+    src = np.arange(n, dtype=np.int64)
+    return DestSpec("table", table=np.where(dst == src, (dst + 1) % n, dst))
 
-    def dest(src: int, rng: np.random.Generator) -> int:
-        d = int(rng.integers(n_nodes - 1))
-        return d if d < src else d + 1
 
-    return TrafficPattern(
-        "uniform_random", n_nodes, dest, dest_spec=DestSpec("uniform")
+def _grid_xy(spec: TrafficSpec):
+    """Every router's ``(x, y)`` grid coordinates, row-major as in
+    :class:`~repro.topology.Layout`."""
+    src = np.arange(spec.rows * spec.cols, dtype=np.int64)
+    return src % spec.cols, src // spec.cols
+
+
+def _uniform(spec: TrafficSpec) -> DestSpec:
+    return DestSpec("uniform")
+
+
+def _memory(spec: TrafficSpec) -> DestSpec:
+    layout = Layout(rows=spec.rows, cols=spec.cols)
+    table, bounds = _choice_rows(np.array(layout.mc_routers()), layout.n)
+    return DestSpec("memory", table=table, bounds=bounds)
+
+
+def _shuffle(spec: TrafficSpec) -> DestSpec:
+    n = spec.n_nodes
+    src = np.arange(n, dtype=np.int64)
+    return _permutation(np.where(src < n // 2, 2 * src, (2 * src + 1) % n))
+
+
+def _bit_complement(spec: TrafficSpec) -> DestSpec:
+    return _permutation(
+        spec.n_nodes - 1 - np.arange(spec.n_nodes, dtype=np.int64)
     )
 
 
-def memory_traffic(layout: Layout) -> TrafficPattern:
-    """All nodes to uniformly-chosen memory-controller routers (hot spot)."""
-    mcs = layout.mc_routers()
-    mcs_arr = np.array(mcs)
+def _transpose(spec: TrafficSpec) -> DestSpec:
+    x, y = _grid_xy(spec)
+    return _permutation((x % spec.rows) * spec.cols + y % spec.cols)
 
-    def dest(src: int, rng: np.random.Generator) -> int:
-        choices = mcs_arr[mcs_arr != src]
-        return int(choices[rng.integers(choices.size)])
 
-    table, bounds = _choice_rows(mcs_arr, layout.n)
-    return TrafficPattern(
-        "memory", layout.n, dest,
-        dest_spec=DestSpec("memory", table=table, bounds=bounds),
+def _tornado(spec: TrafficSpec) -> DestSpec:
+    x, y = _grid_xy(spec)
+    cols = spec.cols
+    return _permutation(y * cols + (x + cols // 2) % cols)
+
+
+def _neighbor(spec: TrafficSpec) -> DestSpec:
+    x, y = _grid_xy(spec)
+    return DestSpec("table", table=y * spec.cols + (x + 1) % spec.cols)
+
+
+def _hotspot(spec: TrafficSpec) -> DestSpec:
+    table, bounds = _choice_rows(np.array(sorted(spec.hotspots)), spec.n_nodes)
+    return DestSpec(
+        "hotspot", table=table, bounds=bounds, hot_fraction=spec.hot_fraction
     )
 
 
-def shuffle_pattern(n_nodes: int) -> TrafficPattern:
-    """gem5's shuffle permutation (paper Section V-E)."""
+#: Every traffic kind with the function that makes its :class:`DestSpec`, in
+#: ``repro simulate --traffic`` order.
+TRAFFIC_KINDS = {
+    "uniform": _uniform,
+    "memory": _memory,
+    "shuffle": _shuffle,
+    "bit_complement": _bit_complement,
+    "transpose": _transpose,
+    "tornado": _tornado,
+    "neighbor": _neighbor,
+    "hotspot": _hotspot,
+}
 
-    def dest(src: int, rng: np.random.Generator) -> int:
-        if src < n_nodes // 2:
-            d = 2 * src
-        else:
-            d = (2 * src + 1) % n_nodes
-        # permutation may map a node to itself only if n is degenerate
-        return d if d != src else (d + 1) % n_nodes
+#: The kinds defined on the router grid: they read ``rows`` x ``cols``,
+#: every other kind reads ``n_nodes``.
+GRID_KINDS = ("memory", "transpose", "tornado", "neighbor")
 
-    return TrafficPattern(
-        "shuffle", n_nodes, dest,
-        dest_spec=DestSpec("table", table=_dest_table(dest, n_nodes)),
-    )
-
-
-def bit_complement(n_nodes: int) -> TrafficPattern:
-    """Garnet's bit-complement permutation: ``dest = n-1-src``."""
-
-    def dest(src: int, rng: np.random.Generator) -> int:
-        d = n_nodes - 1 - src
-        return d if d != src else (d + 1) % n_nodes
-
-    return TrafficPattern(
-        "bit_complement", n_nodes, dest,
-        dest_spec=DestSpec("table", table=_dest_table(dest, n_nodes)),
-    )
-
-
-def transpose(layout: Layout) -> TrafficPattern:
-    """Matrix-transpose pattern: (x, y) -> (y, x), clipped to the grid.
-
-    On non-square grids out-of-range transposes wrap modulo the grid —
-    the standard generalization used by Garnet for rectangular meshes.
-    """
-    n = layout.n
-
-    def dest(src: int, rng: np.random.Generator) -> int:
-        x, y = layout.position(src)
-        d = layout.router_at(y % layout.cols, x % layout.rows)
-        return d if d != src else (d + 1) % n
-
-    return TrafficPattern(
-        "transpose", n, dest,
-        dest_spec=DestSpec("table", table=_dest_table(dest, n)),
-    )
-
-
-def tornado(layout: Layout) -> TrafficPattern:
-    """Tornado: half-way around the row ring — the classic adversary for
-    ring-like topologies (stresses long horizontal paths)."""
-    n = layout.n
-
-    def dest(src: int, rng: np.random.Generator) -> int:
-        x, y = layout.position(src)
-        d = layout.router_at((x + layout.cols // 2) % layout.cols, y)
-        return d if d != src else (d + 1) % n
-
-    return TrafficPattern(
-        "tornado", n, dest,
-        dest_spec=DestSpec("table", table=_dest_table(dest, n)),
-    )
-
-
-def neighbor(layout: Layout) -> TrafficPattern:
-    """Nearest-neighbor: east neighbor with wraparound (best case for
-    meshes; exposes topologies that sacrificed local links)."""
-    n = layout.n
-
-    def dest(src: int, rng: np.random.Generator) -> int:
-        x, y = layout.position(src)
-        return layout.router_at((x + 1) % layout.cols, y)
-
-    return TrafficPattern(
-        "neighbor", n, dest,
-        dest_spec=DestSpec("table", table=_dest_table(dest, n)),
-    )
-
-
-def hotspot(n_nodes: int, hotspots: Sequence[int], hot_fraction: float = 0.5) -> TrafficPattern:
-    """Mixture: ``hot_fraction`` of traffic to the given hotspot routers,
-    the rest uniform (general-purpose stress pattern)."""
-    if len(hotspots) == 0:
-        raise ValueError(
-            "hotspot(): hotspots must name at least one router "
-            "(got an empty sequence)"
-        )
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError(
-            f"hotspot(): hot_fraction must be within [0, 1], "
-            f"got {hot_fraction!r}"
-        )
-    hot = np.array(sorted(hotspots))
-
-    def dest(src: int, rng: np.random.Generator) -> int:
-        if rng.random() < hot_fraction:
-            choices = hot[hot != src]
-            if choices.size:
-                return int(choices[rng.integers(choices.size)])
-        d = int(rng.integers(n_nodes - 1))
-        return d if d < src else d + 1
-
-    table, bounds = _choice_rows(hot, n_nodes)
-    return TrafficPattern(
-        "hotspot", n_nodes, dest,
-        dest_spec=DestSpec(
-            "hotspot", table=table, bounds=bounds, hot_fraction=hot_fraction
-        ),
-    )
+# The pattern constructors under their library names.
+uniform_random = TrafficSpec.uniform
+memory_traffic = TrafficSpec.memory
+shuffle_pattern = TrafficSpec.shuffle
+bit_complement = TrafficSpec.bit_complement
+transpose = TrafficSpec.transpose
+tornado = TrafficSpec.tornado
+neighbor = TrafficSpec.neighbor
+hotspot = TrafficSpec.hotspot

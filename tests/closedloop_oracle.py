@@ -35,7 +35,8 @@ from repro.fullsys.closedloop import (
 )
 from repro.routing.tables import RoutingTable
 from repro.sim.packet import CONTROL_FLITS, DATA_FLITS
-from repro.sim.traffic import TrafficPattern
+from repro.sim.traffic import TrafficSpec
+from traffic_oracle import destination
 
 
 class ClosedLoopSimulator(ClosedLoopRetryCore, NetworkSimulator):
@@ -48,7 +49,7 @@ class ClosedLoopSimulator(ClosedLoopRetryCore, NetworkSimulator):
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         demand_rate: float,
         mlp_per_node: int = 8,
         memory_fraction: float = 0.5,
@@ -121,7 +122,7 @@ class ClosedLoopSimulator(ClosedLoopRetryCore, NetworkSimulator):
                 choices = [m for m in self.mc_routers if m != node]
                 dst = choices[int(self.rng.integers(len(choices)))]
             else:
-                dst = self.traffic.destination(node, self.rng)
+                dst = destination(self.traffic, node, self.rng)
             tid = self._tid
             self._tid += 1
             self.txn[tid] = [node, dst, 1 if is_mem else 0, cycle, 0, _IN_NET]

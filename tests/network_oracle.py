@@ -4,7 +4,8 @@ The A/B oracle for :class:`repro.sim.fastnet.FastNetworkSimulator`, the
 production engine that replaced it (kept verbatim but for a build
 counter): per-channel dicts of ``deque`` queues keyed by
 ``(u, v)`` channel tuples, :class:`Packet` objects, one scalar
-``Generator`` call per draw, and a scan of every router every cycle.
+``Generator`` call per draw (the laws of ``traffic_oracle.py``), and a
+scan of every router every cycle.
 The fast engine must give identical :class:`~repro.sim.network.SimStats`
 (and, per directed link, identical flit counts), so the differential
 suites run both.  :class:`InstrumentedSimulator` adds the oracle's
@@ -32,7 +33,8 @@ from repro.sim.network import (
     ROUTER_LATENCY,
     SimStats,
 )
-from repro.sim.traffic import TrafficPattern
+from repro.sim.traffic import TrafficSpec
+from traffic_oracle import destination, packet_size
 
 Channel = Tuple[int, int]
 
@@ -70,7 +72,7 @@ class NetworkSimulator:
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         injection_rate: float,
         seed: int = 0,
         vc_buffer_flits: int = DEFAULT_VC_BUFFER_FLITS,
@@ -160,8 +162,8 @@ class NetworkSimulator:
             eff = lam if gates is None else lam * gates[node]
             count = int(eff) + (1 if draws[node] < eff - int(eff) else 0)
             for _ in range(count):
-                dst = self.traffic.destination(node, self.rng)
-                size = self.traffic.packet_size(self.rng)
+                dst = destination(self.traffic, node, self.rng)
+                size = packet_size(self.traffic, self.rng)
                 if self._faulty and (node, dst) not in flow_vc:
                     # The degraded table cannot route this flow: the
                     # packet is offered (all its draws were made, so the
@@ -456,7 +458,7 @@ class InstrumentedSimulator(NetworkSimulator):
     def __init__(
         self,
         table: RoutingTable,
-        traffic: TrafficPattern,
+        traffic: TrafficSpec,
         injection_rate: float,
         watchdog_cycles: int = 8000,
         **kw,

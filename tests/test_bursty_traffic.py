@@ -10,6 +10,8 @@ The vectorized-vs-scalar draw-order differential for bursty
 ``tests/test_traffic_vectorized.py`` next to its stationary twin.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.sim import (
     BurstState,
     CompiledNetwork,
     FastNetworkSimulator,
+    TrafficSpec,
     hotspot,
     parse_burst,
     uniform_random,
@@ -89,8 +92,11 @@ class TestBurstSpec:
             kind="storm", p_on=0.1, p_off=0.4, on_scale=2.0,
             off_scale=0.25, seed=9,
         )
-        assert BurstSpec.from_dict(spec.as_dict()) == spec
         assert BurstSpec(*spec.key()) == spec
+        traffic = uniform_random(20).with_burst(spec)
+        doc = json.loads(json.dumps(traffic.as_dict()))
+        assert doc["burst"] == list(spec.key())
+        assert TrafficSpec.from_dict(doc) == traffic
 
 
 class TestParseBurst:

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from mclb_lp_oracle import mclb_route_multipath
-from repro.cli import main
+from repro.cli import TRAFFIC_CHOICES, main
 from repro.core import mclb_route
 from repro.milp import MAXIMIZE, Model, quicksum
 from repro.topology import LAYOUT_4X5, Layout, Topology, folded_torus, save
@@ -155,6 +155,43 @@ class TestCLI:
         monkeypatch.setattr(repro.routing, "ndbt_route", boom)
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    QUICK = ["simulate", "Mesh", "--no-cache", "--points", "2",
+             "--warmup", "50", "--measure", "100"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--traffic", kind] for kind in TRAFFIC_CHOICES]
+        + [["--burst", "lrd:0.1,0.25,auto,0,7,1.4"]],
+        ids=list(TRAFFIC_CHOICES) + ["lrd"],
+    )
+    def test_simulate_every_traffic_choice(self, extra, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.QUICK + extra) == 0
+        assert "saturation throughput" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra,expect", [
+        (["--hot-fraction", "1.5"], "hot_fraction must be within [0, 1]"),
+        (["--hotspots", "3,25"], "hotspot routers [25] outside [0, 20)"),
+        (["--hotspots=-1"], "hotspot routers [-1] outside [0, 20)"),
+        (["--hotspots", "3,x"], "--hotspots must be a comma-separated"),
+    ], ids=["hot-fraction", "hotspot-25", "hotspot-neg", "hotspot-parse"])
+    def test_simulate_refuses_bad_traffic_before_routing(self, extra, expect,
+                                                         monkeypatch):
+        """A pattern the engines cannot draw is a one-line exit before
+        the table is routed, not a quarantined sim task."""
+        import repro.routing
+
+        def boom(*a, **kw):
+            raise AssertionError("routed a refused traffic pattern")
+
+        monkeypatch.setattr(repro.routing, "ndbt_route", boom)
+        with pytest.raises(SystemExit) as exc:
+            main(self.QUICK + ["--traffic", "hotspot"] + extra)
+        message = str(exc.value.code)
+        assert expect in message and "\n" not in message
 
     @pytest.mark.parametrize("flag,value", [
         ("--warmup", "-1"), ("--measure", "0"), ("--points", "0"),

@@ -109,7 +109,7 @@ class TestDifferential4x5:
                           seed=0, engine="reference")
             b = run_point(table_4x5, traffic, rate, warmup=200, measure=500,
                           seed=0, engine="fast")
-            assert a == b, (traffic.name, rate)
+            assert a == b, (traffic.kind, rate)
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_seeds(self, table_4x5, seed):
@@ -165,7 +165,7 @@ class TestDifferential8x6:
                           seed=0, engine="reference")
             b = run_point(table_8x6, traffic, rate, warmup=150, measure=400,
                           seed=0, engine="fast")
-            assert a == b, (traffic.name, rate)
+            assert a == b, (traffic.kind, rate)
 
     def test_seed_sweep_uniform(self, table_8x6):
         traffic = uniform_random(48)

@@ -32,7 +32,13 @@ from repro.runner import tasks as runner_tasks
 from repro.runner.artifacts import _BUILDERS, generate_all
 from repro.runner.hashing import CanonicalDoc, canonicalize
 from repro.routing import assign_vcs, build_routing_table, ndbt_route
-from repro.sim import find_saturation, latency_throughput_curve, uniform_random
+from repro.sim import (
+    BurstSpec,
+    TraceStream,
+    find_saturation,
+    latency_throughput_curve,
+    uniform_random,
+)
 from repro.topology import Layout, Topology, expert_topology
 
 RATES = (0.02, 0.06, 0.12, 0.2, 0.3)
@@ -98,6 +104,49 @@ GOLDEN_KEYS = {
         "table": "432e48a851b9ceefe56cb616a97af14b9df936e061a6969c75870c31c630888a",
     },
 }
+
+
+#: ``config_hash`` of each traffic kind's doc on the 4x5 layout, recorded
+#: before the traffic classes merged: every simulation task key embeds
+#: this doc, so cached results stay valid only while these hold.
+GOLDEN_TRAFFIC_KEYS = {
+    "uniform": "3e863fd51efd005e2c3d1198ace162deebffafa58bb2e658c474efdf55b41993",
+    "memory": "9d28bfbc19739bf5270e3dcad095696f9672c4590725233b9e3b43b7e512a03d",
+    "shuffle": "93650286ec968a20ea38e7b147b30d79e294bc4417ff8cc5857fe24198112d04",
+    "bit_complement": "0b7cf924cfb8dde1da4d5da96f09382e74036a143f82452e30f50451a25f2fac",
+    "transpose": "788452c806cf73714b0a13bccde84cf42bacd5b1b06a13732e7570a7d89c0ee6",
+    "tornado": "0742a7f55d7167d9ecef3db21345d7a67ae801ab9e356c5d05800f4af7f56e14",
+    "neighbor": "65ea1549a4df7ce67e9aacde564dcf7ce253ef95947afa343928833f39e8f005",
+    "hotspot": "267105771ffc465d995aa09ca69be4dd5f0ef2630df51436be615587967a1368",
+    "mmpp_uniform": "cded3a86eb8355a709388923ff18c2aecdce14d7e295b79506823c25420b0bb9",
+    "lrd_memory": "b41ed31471848b279d5716785faec4557c02812fdda00155d0b32ee1270c6833",
+}
+
+
+def _golden_traffic():
+    layout = Layout(rows=4, cols=5)
+    n = layout.n
+    return {
+        "uniform": TrafficSpec.uniform(n),
+        "memory": TrafficSpec.memory(layout),
+        "shuffle": TrafficSpec.shuffle(n),
+        "bit_complement": TrafficSpec.bit_complement(n),
+        "transpose": TrafficSpec.transpose(layout),
+        "tornado": TrafficSpec.tornado(layout),
+        "neighbor": TrafficSpec.neighbor(layout),
+        "hotspot": TrafficSpec.hotspot(n, layout.mc_routers(), 0.5),
+        "mmpp_uniform": TrafficSpec.uniform(n).with_burst(
+            BurstSpec("mmpp", 0.1, 0.3, seed=1)),
+        "lrd_memory": TrafficSpec.memory(layout).with_burst(
+            BurstSpec("lrd", 0.1, 0.25, seed=7, alpha=1.4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAFFIC_KEYS))
+def test_traffic_keys_match_golden_digests(name):
+    spec = _golden_traffic()[name]
+    assert config_hash(spec.as_dict()) == GOLDEN_TRAFFIC_KEYS[name]
+    assert TrafficSpec.from_dict(spec.as_dict()) == spec
 
 
 @pytest.fixture(scope="module")
@@ -289,16 +338,21 @@ def test_table_codec_roundtrip(table):
     assert encode_table(back) == doc  # canonical: stable under roundtrip
 
 
+def _traced_pairs(spec, n):
+    """``(src, dst)`` arrays of a short trace of ``spec`` on ``n`` routers."""
+    stream = TraceStream(spec, n, 0.5, np.random.default_rng(0))
+    _, _, src, dst, _ = stream.next_chunk(50)
+    return src, dst
+
+
 @pytest.mark.parametrize("kind", ["uniform", "shuffle", "bit_complement"])
 def test_traffic_spec_roundtrip_n_nodes(kind):
     spec = TrafficSpec(kind=kind, n_nodes=6)
     back = TrafficSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
     assert back == spec
-    pattern = back.build()
-    rng = np.random.default_rng(0)
-    for src in range(6):
-        d = pattern.destination(src, rng)
-        assert 0 <= d < 6 and d != src
+    src, dst = _traced_pairs(back, 6)
+    assert src.size > 0
+    assert ((0 <= dst) & (dst < 6) & (dst != src)).all()
 
 
 def test_traffic_spec_layout_kinds():
@@ -309,9 +363,10 @@ def test_traffic_spec_layout_kinds():
         TrafficSpec.tornado(layout),
         TrafficSpec.neighbor(layout),
     ):
-        pattern = TrafficSpec.from_dict(spec.as_dict()).build()
-        rng = np.random.default_rng(1)
-        assert 0 <= pattern.destination(0, rng) < 6
+        back = TrafficSpec.from_dict(spec.as_dict())
+        assert back == spec
+        src, dst = _traced_pairs(back, 6)
+        assert ((0 <= dst) & (dst < 6)).all(), spec.kind
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.sim import (
     DATA_FLITS,
     MEAN_FLITS_PER_PACKET,
     FastNetworkSimulator,
+    TraceStream,
     find_saturation,
     latency_throughput_curve,
     memory_traffic,
@@ -167,36 +168,34 @@ class TestSweep:
         assert curve.zero_load_latency_cycles == curve.points[0].avg_latency_cycles
 
 
+def traced_events(traffic, rate=0.3, cycles=200, seed=0):
+    """``(src, dst, size)`` arrays of a 20-router trace's first cycles."""
+    stream = TraceStream(traffic, 20, rate, np.random.default_rng(seed))
+    _, _, src, dst, size = stream.next_chunk(cycles)
+    return src, dst, size
+
+
 class TestTrafficPatterns:
     def test_uniform_never_self(self):
-        tp = uniform_random(20)
-        rng = np.random.default_rng(0)
-        for src in range(20):
-            for _ in range(50):
-                assert tp.destination(src, rng) != src
+        src, dst, _ = traced_events(uniform_random(20))
+        assert src.size > 500
+        assert (dst != src).all()
+        assert set(dst.tolist()) == set(range(20))
 
     def test_memory_targets_mc_columns(self):
-        tp = memory_traffic(LAYOUT_4X5)
-        mcs = set(LAYOUT_4X5.mc_routers())
-        rng = np.random.default_rng(0)
+        spec = memory_traffic(LAYOUT_4X5).dest_spec
+        mcs = LAYOUT_4X5.mc_routers()
         for src in range(20):
-            for _ in range(20):
-                assert tp.destination(src, rng) in mcs
+            row = spec.table[src, : spec.bounds[src]].tolist()
+            assert row == [m for m in mcs if m != src]
 
     def test_shuffle_deterministic_dests(self):
-        tp = shuffle_pattern(20)
-        rng = np.random.default_rng(0)
-        assert tp.destination(3, rng) == 6
-        assert tp.destination(12, rng) == (2 * 12 + 1) % 20
+        table = shuffle_pattern(20).dest_spec.table
+        assert table[3] == 6
+        assert table[12] == (2 * 12 + 1) % 20
 
     def test_packet_size_mix(self):
-        tp = uniform_random(20)
-        rng = np.random.default_rng(0)
-        sizes = [tp.packet_size(rng) for _ in range(600)]
-        data_frac = sum(1 for s in sizes if s == DATA_FLITS) / len(sizes)
+        _, _, sizes = traced_events(uniform_random(20))
+        assert set(sizes.tolist()) == {CONTROL_FLITS, DATA_FLITS}
+        data_frac = float(np.mean(sizes == DATA_FLITS))
         assert 0.4 < data_frac < 0.6
-
-    def test_demand_matrix_rows_sum_one(self):
-        tp = uniform_random(8)
-        w = tp.demand_matrix()
-        assert np.allclose(w.sum(axis=1), 1.0, atol=0.05)

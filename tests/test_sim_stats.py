@@ -9,6 +9,7 @@ from repro.sim import (
     bit_complement,
     measure_activity,
     neighbor,
+    shuffle_pattern,
     tornado,
     transpose,
     uniform_random,
@@ -56,39 +57,35 @@ class TestInstrumentation:
 
 class TestExtraTraffic:
     def test_bit_complement_involution(self):
-        tp = bit_complement(20)
-        rng = np.random.default_rng(0)
+        table = bit_complement(20).dest_spec.table
         for s in range(20):
-            d = tp.destination(s, rng)
+            d = table[s]
             if d == 19 - s:  # non-degenerate case
-                assert tp.destination(d, rng) == s
+                assert table[d] == s
 
     def test_transpose_square_grid(self):
         lay = Layout(rows=4, cols=4)
-        tp = transpose(lay)
-        rng = np.random.default_rng(0)
+        table = transpose(lay).dest_spec.table
         # (1,2) -> (2,1)
-        src = lay.router_at(1, 2)
-        assert tp.destination(src, rng) == lay.router_at(2, 1)
+        assert table[lay.router_at(1, 2)] == lay.router_at(2, 1)
 
     def test_tornado_half_way(self):
-        tp = tornado(LAYOUT_4X5)
-        rng = np.random.default_rng(0)
+        table = tornado(LAYOUT_4X5).dest_spec.table
         src = LAYOUT_4X5.router_at(0, 1)
-        assert tp.destination(src, rng) == LAYOUT_4X5.router_at(2, 1)
+        assert table[src] == LAYOUT_4X5.router_at(2, 1)
 
     def test_neighbor_wraps(self):
-        tp = neighbor(LAYOUT_4X5)
-        rng = np.random.default_rng(0)
+        table = neighbor(LAYOUT_4X5).dest_spec.table
         src = LAYOUT_4X5.router_at(4, 0)
-        assert tp.destination(src, rng) == LAYOUT_4X5.router_at(0, 0)
+        assert table[src] == LAYOUT_4X5.router_at(0, 0)
 
     def test_no_self_destinations(self):
-        rng = np.random.default_rng(1)
-        for tp in (bit_complement(20), transpose(LAYOUT_4X5),
-                   tornado(LAYOUT_4X5), neighbor(LAYOUT_4X5)):
-            for s in range(20):
-                assert tp.destination(s, rng) != s, tp.name
+        """No permutation maps a source to itself."""
+        for tp in (shuffle_pattern(20), bit_complement(20),
+                   transpose(LAYOUT_4X5), tornado(LAYOUT_4X5),
+                   neighbor(LAYOUT_4X5)):
+            assert tp.dest_spec.kind == "table", tp.kind
+            assert (tp.dest_spec.table != np.arange(20)).all(), tp.kind
 
 
 def concentrated_mesh(layout: Layout, concentration: int = 2) -> Topology:

@@ -1,12 +1,12 @@
 """Property suite for the vectorized traffic paths.
 
-Pins the tentpole invariant of the trace subsystem: batched destination
-draws (`TrafficPattern.destinations`) and pre-generated traces
-(`TraceStream`) replicate the scalar reference draw stream bit-exactly —
-same values *and* the same final RNG stream position — for all eight
-built-in patterns, across seeds, chunk sizes, and degenerate
-configurations numpy special-cases (single-candidate bounds, rates
-above 1.0)."""
+Pins the tentpole invariant of the trace subsystem: each pattern's
+`DestSpec` and the pre-generated traces (`TraceStream`) drawn from it
+replicate the scalar reference draw stream of `traffic_oracle.py`
+bit-exactly — same values *and* the same final RNG stream position —
+for all eight built-in patterns, across seeds, layouts, chunk sizes,
+and degenerate configurations numpy special-cases (single-candidate
+bounds, rates above 1.0)."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from repro.sim import TraceStream
 from repro.sim.rngstream import take_raw
 from repro.sim.traffic import (
-    TrafficPattern,
+    TrafficSpec,
     bit_complement,
     hotspot,
     memory_traffic,
@@ -25,6 +25,7 @@ from repro.sim.traffic import (
     uniform_random,
 )
 from repro.topology import LAYOUT_4X5, Layout
+from traffic_oracle import destination, dest_fn, packet_size
 
 
 def all_patterns(layout):
@@ -48,54 +49,68 @@ EDGE_PATTERNS = [
 ]
 
 
+def spec_destination(pat, n, src, rng):
+    """One destination by the recipe of ``pat.dest_spec`` on ``n``
+    routers, drawn with scalar ``Generator`` calls."""
+    spec = pat.dest_spec
+    if spec.kind == "table":
+        return int(spec.table[src])
+    if spec.kind == "memory":
+        return int(spec.table[src, rng.integers(spec.bounds[src])])
+    if spec.kind == "hotspot":
+        if rng.random() < spec.hot_fraction and spec.bounds[src] > 0:
+            return int(spec.table[src, rng.integers(spec.bounds[src])])
+    d = int(rng.integers(n - 1))
+    return d if d < src else d + 1
+
+
 class TestDestinationsMatchScalarStream:
+    """Every kind's DestSpec against the scalar law it must encode."""
+
     @pytest.mark.parametrize("pattern_idx", range(8))
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_patterns_all_seeds(self, pattern_idx, seed):
         pat = all_patterns(LAYOUT_4X5)[pattern_idx]
         srcs = np.random.default_rng(seed + 50).integers(20, size=301)
         r_scalar = np.random.default_rng(seed)
-        r_vec = np.random.default_rng(seed)
-        scalar = [pat.destination(int(s), r_scalar) for s in srcs]
-        vec = pat.destinations(srcs, r_vec)
-        assert list(vec) == scalar
+        r_spec = np.random.default_rng(seed)
+        scalar = [destination(pat, int(s), r_scalar) for s in srcs]
+        drawn = [spec_destination(pat, 20, int(s), r_spec) for s in srcs]
+        assert drawn == scalar
         # final stream positions coincide: further draws agree
-        assert r_scalar.random() == r_vec.random()
-        assert int(r_scalar.integers(19)) == int(r_vec.integers(19))
+        assert r_scalar.random() == r_spec.random()
+        assert int(r_scalar.integers(19)) == int(r_spec.integers(19))
 
-    @pytest.mark.parametrize("pat", EDGE_PATTERNS, ids=lambda p: p.name + str(p.dest_spec.hot_fraction))
+    @pytest.mark.parametrize("pat", EDGE_PATTERNS, ids=lambda p: p.kind + str(p.dest_spec.hot_fraction))
     def test_degenerate_hotspots(self, pat):
         srcs = list(range(20)) * 5
         r_scalar = np.random.default_rng(7)
-        r_vec = np.random.default_rng(7)
-        scalar = [pat.destination(s, r_scalar) for s in srcs]
-        vec = pat.destinations(srcs, r_vec)
-        assert list(vec) == scalar
-        assert r_scalar.random() == r_vec.random()
+        r_spec = np.random.default_rng(7)
+        scalar = [destination(pat, s, r_scalar) for s in srcs]
+        drawn = [spec_destination(pat, 20, s, r_spec) for s in srcs]
+        assert drawn == scalar
+        assert r_scalar.random() == r_spec.random()
 
-    def test_interleaved_scalar_and_vector_calls(self):
-        """Batched and scalar draws can alternate freely: the half-word
-        cache carried between them stays consistent."""
-        pat = memory_traffic(LAYOUT_4X5)
-        r_a = np.random.default_rng(21)
-        r_b = np.random.default_rng(21)
-        seq_a = []
-        seq_b = []
-        for round_ in range(4):
-            seq_a.append(pat.destination(round_, r_a))
-            seq_b.append(int(pat.destinations([round_], r_b)[0]))
-            srcs = list(range(1, 20, 2))
-            seq_a.extend(pat.destination(s, r_a) for s in srcs)
-            seq_b.extend(int(d) for d in pat.destinations(srcs, r_b))
-        assert seq_a == seq_b
-        assert r_a.random() == r_b.random()
-
-    def test_empty_batch_consumes_nothing(self):
-        pat = uniform_random(20)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state["state"]
-        assert pat.destinations([], rng).size == 0
-        assert rng.bit_generator.state["state"] == before
+    @pytest.mark.parametrize(
+        "shape", [(4, 5), (2, 3), (6, 8), (5, 6), (3, 3), (1, 4), (4, 4), (2, 2)],
+        ids=lambda rc: f"{rc[0]}x{rc[1]}",
+    )
+    def test_tables_and_rows_on_every_layout(self, shape):
+        """Permutation tables and candidate rows equal the scalar laws
+        tabulated source by source, on square, flat and tiny grids."""
+        lay = Layout(*shape)
+        n = lay.n
+        for pat in all_patterns(lay):
+            spec = pat.dest_spec
+            if spec.kind == "table":
+                want = [dest_fn(pat)(s, None) for s in range(n)]
+                assert spec.table.dtype == np.int64, pat.kind
+                assert spec.table.tolist() == want, pat.kind
+            elif spec.kind != "uniform":
+                hot = sorted(pat.hotspots) or lay.mc_routers()
+                for s in range(n):
+                    row = spec.table[s, : spec.bounds[s]].tolist()
+                    assert row == [h for h in hot if h != s], (pat.kind, s)
 
 
 def reference_event_stream(pat, n, rate, seed, ncycles):
@@ -110,8 +125,8 @@ def reference_event_stream(pat, n, rate, seed, ncycles):
         for node in range(n):
             count = whole + (1 if draws[node] < frac else 0)
             for _ in range(count):
-                dst = pat.destination(node, rng)
-                size = pat.packet_size(rng)
+                dst = destination(pat, node, rng)
+                size = packet_size(pat, rng)
                 out.append((c, node, dst, size))
     return out
 
@@ -136,7 +151,7 @@ class TestTraceStreamMatchesReference:
         for rate in (0.07, 0.33):
             ref = reference_event_stream(pat, 20, rate, 5, 150)
             got = trace_event_stream(pat, 20, rate, 5, 150, chunk_cycles=7)
-            assert got == ref, (pat.name, rate)
+            assert got == ref, (pat.kind, rate)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, 2.25])
     def test_super_unit_rates_scalar_path(self, rate):
@@ -170,7 +185,7 @@ class TestTraceStreamMatchesReference:
                 cb = b.next_chunk()
                 assert ca[0] == cb[0]
                 for xa, xb in zip(ca[1:], cb[1:]):
-                    assert np.array_equal(xa, xb), pat.name
+                    assert np.array_equal(xa, xb), pat.kind
 
     @staticmethod
     def _next_word(stream):
@@ -198,7 +213,7 @@ class TestTraceStreamMatchesReference:
                 cb = b.next_chunk()
                 assert ca is not None and ca[0] == cb[0]
                 for xa, xb in zip(ca[1:], cb[1:]):
-                    assert np.array_equal(xa, xb), (pat.name, rate)
+                    assert np.array_equal(xa, xb), (pat.kind, rate)
                 assert self._next_word(a) == self._next_word(b)
                 assert a._cache_has == b._cache_has
                 if a._cache_has:
@@ -227,8 +242,8 @@ def reference_bursty_stream(pat, n, rate, seed, ncycles):
             eff = rate * g[node]
             count = int(eff) + (1 if draws[node] < eff - int(eff) else 0)
             for _ in range(count):
-                dst = pat.destination(node, rng)
-                size = pat.packet_size(rng)
+                dst = destination(pat, node, rng)
+                size = packet_size(pat, rng)
                 out.append((c, node, dst, size))
     return out
 
@@ -312,26 +327,31 @@ class TestHotspotValidation:
         with pytest.raises(ValueError, match="hot_fraction"):
             hotspot(20, [1, 2], bad)
 
+    @pytest.mark.parametrize("bad", [20, 25, -1])
+    def test_hotspots_out_of_range_rejected(self, bad):
+        """A router outside [0, n) is refused at construction: -1 would
+        read as the trace's own "no hotspot" padding, 25 would index
+        past the engines' tables."""
+        with pytest.raises(ValueError, match=r"outside \[0, 20\)"):
+            hotspot(20, [3, bad])
+
     def test_boundary_fractions_accepted(self):
         assert hotspot(20, [1], 0.0).dest_spec.hot_fraction == 0.0
         assert hotspot(20, [1], 1.0).dest_spec.hot_fraction == 1.0
+        assert hotspot(20, [0, 19]).hotspots == (0, 19)
 
     def test_spec_rejects_via_runner_builder(self):
         from repro.runner import TrafficSpec
 
-        with pytest.raises(ValueError):
-            TrafficSpec.hotspot(20, ()).build()
+        with pytest.raises(ValueError, match="at least one router"):
+            TrafficSpec.hotspot(20, ())
+        with pytest.raises(ValueError, match="hot_fraction"):
+            TrafficSpec.from_dict({**hotspot(20, [1]).as_dict(), "hot_fraction": 1.5})
 
 
 def test_pattern_without_dest_spec_rejected():
-    """A DestSpec is required: without one every vectorized consumer
-    would need a scalar generation path, so construction refuses."""
-
-    def dest(src, rng):
-        d = int(rng.integers(19))
-        return d if d < src else d + 1
-
-    with pytest.raises(ValueError, match="'custom' has no DestSpec"):
-        TrafficPattern("custom", 20, dest)
-    with pytest.raises(ValueError, match="'custom' has no DestSpec"):
-        TrafficPattern("custom", 20, dest, dest_spec=None)
+    """Every kind makes a DestSpec: without one the engines could
+    not draw destinations, so an unknown kind is refused at
+    construction."""
+    with pytest.raises(ValueError, match="unknown traffic kind 'custom'"):
+        TrafficSpec("custom", n_nodes=20)
