@@ -4,7 +4,7 @@ from repro.experiments import fig1_points, pareto_front
 
 
 def test_fig1_scatter(once):
-    points = once(fig1_points, 20, allow_generate=False)
+    points = once(fig1_points, 20)
 
     print("\nFig. 1 points (avg hops vs saturation bound, flits/node/cycle)")
     for p in sorted(points, key=lambda p: (p.link_class, p.avg_hops)):

@@ -7,8 +7,7 @@ from repro.experiments import fig10_curves, fig11_points
 
 def test_fig10_shuffle_traffic(once):
     res = once(
-        fig10_curves, link_classes=("medium",), allow_generate=False,
-        warmup=300, measure=1200,
+        fig10_curves, link_classes=("medium",), warmup=300, measure=1200,
     )
     print("\nFig. 10 — shuffle traffic saturation (medium class)")
     ranked = sorted(
@@ -28,7 +27,7 @@ def test_fig10_shuffle_traffic(once):
 @pytest.mark.slow
 def test_fig11_48_router_scaling(once):
     res = once(
-        fig11_points, allow_generate=False, warmup=250, measure=800,
+        fig11_points, warmup=250, measure=800,
     )
     if not any(p.name.startswith("NS-") for p in res.points):
         pytest.skip("48-router NetSmith topologies not frozen in this build")

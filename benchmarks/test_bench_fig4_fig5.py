@@ -6,7 +6,7 @@ from repro.experiments import fig4_render, fig5_curves
 
 
 def test_fig4_topology_rendering(once):
-    res = once(fig4_render, 20, allow_generate=False)
+    res = once(fig4_render, 20)
     print("\n" + res.rendering)
     # the rendered example must be a valid medium-class radix-4 design
     res.topology.check(radix=4, link_class="medium")

@@ -18,8 +18,7 @@ def _print_result(res):
 
 def test_fig6a_coherence_traffic(once):
     res = once(
-        fig6_curves, "coherence", allow_generate=False,
-        warmup=300, measure=1200,
+        fig6_curves, "coherence", warmup=300, measure=1200,
     )
     _print_result(res)
 
@@ -39,16 +38,14 @@ def test_fig6a_coherence_traffic(once):
 
 def test_fig6b_memory_traffic(once):
     res = once(
-        fig6_curves, "memory", allow_generate=False,
-        warmup=300, measure=1200,
+        fig6_curves, "memory", warmup=300, measure=1200,
     )
     _print_result(res)
 
     # Paper: memory traffic saturates well beneath coherence levels
     # (hot-spot contention binds before the sparsest cut).
     coh = fig6_curves(
-        "coherence", link_classes=("medium",), allow_generate=False,
-        warmup=300, measure=1200,
+        "coherence", link_classes=("medium",), warmup=300, measure=1200,
     )
     for name, curve in res.curves.items():
         if name in coh.curves:

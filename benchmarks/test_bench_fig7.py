@@ -4,7 +4,7 @@ from repro.experiments import fig7_bars, mclb_gain_summary
 
 
 def test_fig7_topology_vs_routing(once):
-    bars = once(fig7_bars, "large", allow_generate=False, warmup=250, measure=900)
+    bars = once(fig7_bars, "large", warmup=250, measure=900)
 
     print("\nFig. 7 — large topologies, NDBT vs MCLB (flits/node/cycle bounds)")
     for b in bars:

@@ -17,7 +17,6 @@ def test_fig8_parsec(once):
         workloads=subset,
         warmup=400,
         measure=1500,
-        allow_generate=False,
         max_entries_per_class=3,
     )
 
@@ -58,7 +57,7 @@ def test_fig8_parsec(once):
 @pytest.mark.slow
 def test_fig8_parsec_full(once):
     res = once(
-        fig8_results, warmup=600, measure=2500, allow_generate=False,
+        fig8_results, warmup=600, measure=2500,
     )
     print("\nFig. 8 (all 12 PARSEC) GEOMEAN:")
     for n, v in sorted(res.geomean.items(), key=lambda kv: -kv[1]):

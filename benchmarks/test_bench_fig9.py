@@ -6,7 +6,7 @@ from repro.experiments import fig9_rows, ns_large_vs_small_dynamic
 
 
 def test_fig9_power_area(once):
-    rows = once(fig9_rows, allow_generate=False)
+    rows = once(fig9_rows)
 
     print("\nFig. 9 — power/area normalized to mesh (lower is better)")
     for r in rows:

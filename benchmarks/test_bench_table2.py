@@ -6,7 +6,7 @@ from repro.experiments import format_table, table2
 
 
 def test_table2_20_routers(once):
-    rows = once(table2, 20, allow_generate=False)
+    rows = once(table2, 20)
     print("\n" + format_table(rows, 20))
 
     by_name = {(r.link_class, r.measured.name): r for r in rows}
@@ -45,7 +45,7 @@ def test_table2_20_routers(once):
 @pytest.mark.slow
 def test_table2_30_routers(once):
     try:
-        rows = once(table2, 30, allow_generate=False, exact_cuts=False)
+        rows = once(table2, 30)
     except KeyError:
         pytest.skip("30-router artifacts not frozen in this build")
     print("\n" + format_table(rows, 30))

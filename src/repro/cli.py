@@ -46,7 +46,9 @@ import argparse
 import sys
 from typing import Optional
 
+from .sim.burst import BURST_KINDS
 from .sim.traffic import GRID_KINDS, TRAFFIC_KINDS, TrafficSpec
+from .topology import EXACT_CUT_LIMIT
 
 
 def _load_or_named(spec: str, n_routers: int):
@@ -107,7 +109,7 @@ def cmd_evaluate(args) -> int:
     from .topology import summarize
 
     topo = _load_or_named(args.topology, args.routers)
-    s = summarize(topo, exact=topo.n <= 22)
+    s = summarize(topo)
     print(f"{'topology':<20} {s.name}")
     print(f"{'links':<20} {s.num_links}")
     print(f"{'diameter':<20} {s.diameter}")
@@ -624,9 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of hotspot traffic aimed at --hotspots")
     s.add_argument("--burst", default=None, metavar="SPEC",
                    help="bursty modulation of the traffic pattern: "
-                        "KIND[:p_on,p_off[,on_scale|auto[,off_scale[,seed]]]] "
-                        "with KIND mmpp (per-node on/off chains) or storm "
-                        "(one global chain), e.g. mmpp:0.1,0.3")
+                        "KIND[:p_on,p_off[,on_scale|auto[,off_scale[,seed"
+                        "[,alpha]]]]] with KIND one of "
+                        f"{', '.join(BURST_KINDS)} (alpha: the Pareto "
+                        "sojourn shape of lrd), e.g. mmpp:0.1,0.3")
     s.add_argument("--faults", default=None, metavar="SPEC",
                    help="fault schedule CYCLE:KIND:TARGET[,...] with KIND "
                         "link_down/link_up (TARGET u-v, full duplex) or "
@@ -664,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--objectives", default="latency,shuffle",
                     metavar="OBJ,...",
                     help="subset of latency,sparsest_cut,shuffle "
-                         "(sparsest_cut is skipped above 22 routers)")
+                         "(sparsest_cut is skipped above "
+                         f"{EXACT_CUT_LIMIT} routers)")
     ex.add_argument("--strategy",
                     choices=("milp", "sa", "portfolio", "hierarchical"),
                     default="sa",

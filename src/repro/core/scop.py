@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..milp import MAXIMIZE, quicksum
-from ..topology import sparsest_cut
+from ..topology import EXACT_CUT_LIMIT, sparsest_cut
 from .netsmith import FormulationHandles, GenerationResult, NetSmithConfig, build_distance_formulation
 
 
@@ -71,9 +71,10 @@ def generate_scop(
     ``time_limit`` applies per lazy iteration.  Returns the generation
     result and lazy-loop diagnostics.
     """
-    if config.layout.n > 22:
+    if config.layout.n > EXACT_CUT_LIMIT:
         raise ValueError(
-            "SCOp needs exact sparsest-cut separation; n > 22 is infeasible "
+            "SCOp needs exact sparsest-cut separation; "
+            f"n > {EXACT_CUT_LIMIT} is infeasible "
             "(the paper, likewise, reports SCOp only at 20 routers)"
         )
     handles = build_distance_formulation(config, sense=MAXIMIZE)
@@ -137,7 +138,7 @@ def generate_scop(
         last_res = res
         topo = handles.extract_topology(res)
         claimed = res.value(b)
-        cut = sparsest_cut(topo, exact=True)
+        cut = sparsest_cut(topo)
         true_val = cut.value
         if claimed <= true_val + tol:
             break

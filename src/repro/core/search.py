@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..topology import Layout, Topology, sparsest_cut
+from ..topology import EXACT_CUT_LIMIT, Layout, Topology, sparsest_cut
 from .apsp import IncrementalAPSP
 from .netsmith import GenerationResult, NetSmithConfig
 
@@ -203,8 +203,10 @@ def anneal_topology(
     allowed = layout.valid_links(config.link_class)
     radix = config.radix
 
-    if objective == "sparsest_cut" and layout.n > 22:
-        raise ValueError("sparsest-cut objective needs exact cuts (n <= 22)")
+    if objective == "sparsest_cut" and layout.n > EXACT_CUT_LIMIT:
+        raise ValueError(
+            f"sparsest-cut objective needs exact cuts (n <= {EXACT_CUT_LIMIT})"
+        )
 
     # C8: with an explicit diameter bound, excess diameter is penalized
     # steeply enough to dominate any hop/cut difference, steering the
@@ -224,7 +226,7 @@ def anneal_topology(
             w = config.traffic_weights
             h = total if w is None else float((d * w).sum())
             return h + penalty
-        b = sparsest_cut(Topology.from_adjacency(layout, adj), exact=True).value
+        b = sparsest_cut(Topology.from_adjacency(layout, adj)).value
         return -b * 1e4 + 1e-4 * total + penalty
 
     if initial is not None:
@@ -255,7 +257,7 @@ def anneal_topology(
     obj_val = (
         _total_hops(topo, config.traffic_weights)
         if objective == "latency"
-        else sparsest_cut(topo, exact=layout.n <= 22).value
+        else sparsest_cut(topo).value
     )
     return GenerationResult(
         topology=topo,

@@ -34,18 +34,16 @@ class Fig1Point:
 def fig1_points(
     n_routers: int = 20,
     link_classes: Tuple[str, ...] = ("small", "medium", "large"),
-    allow_generate: bool = True,
     seed: int = 0,
     runner: Optional["Runner"] = None,
 ) -> List[Fig1Point]:
-    """With a :class:`~repro.runner.Runner`, table compilations (the
-    MCLB LP solves dominating this figure) fan out and cache as
-    ``routing`` tasks; reruns skip routing entirely."""
+    """One point per contender of the frozen roster.  With a
+    :class:`~repro.runner.Runner`, table compilations (the MCLB LP
+    solves dominating this figure) fan out and cache as ``routing``
+    tasks; reruns skip routing entirely."""
     points: List[Fig1Point] = []
     for cls in link_classes:
-        entries = roster(
-            cls, n_routers, allow_generate=allow_generate, runner=runner
-        )
+        entries = roster(cls, n_routers, allow_generate=False)
         tables = routed_entries(entries, seed=seed, runner=runner)
         for entry, table in zip(entries, tables):
             routes_max = 0

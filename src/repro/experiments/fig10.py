@@ -45,10 +45,11 @@ def fig10_curves(
     warmup: int = 400,
     measure: int = 1500,
     seed: int = 0,
-    allow_generate: bool = True,
     runner: Optional["Runner"] = None,
 ) -> Fig10Result:
-    """Each routed topology compiles once and its sweep is trace-fed."""
+    """The frozen roster of each link class (LPBT aside) plus its frozen
+    NS-ShufOpt design, where one exists.  Each routed topology compiles
+    once and its sweep is trace-fed."""
     from ..runner import CurveJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
@@ -57,15 +58,13 @@ def fig10_curves(
     with ensure_runner(runner) as runner:
         for cls in link_classes:
             entries = roster(
-                cls, n_routers, include_lpbt=False,
-                allow_generate=allow_generate, runner=runner,
+                cls, n_routers, include_lpbt=False, allow_generate=False,
             )
             try:
                 entries.append(
                     Entry(
                         netsmith_topology(
-                            "shufopt", cls, n_routers, allow_generate,
-                            runner=runner,
+                            "shufopt", cls, n_routers, allow_generate=False,
                         ),
                         MCLB,
                     )

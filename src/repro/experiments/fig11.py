@@ -55,10 +55,10 @@ def fig11_points(
     warmup: int = 300,
     measure: int = 1000,
     seed: int = 0,
-    allow_generate: bool = True,
     runner: Optional["Runner"] = None,
 ) -> Fig11Result:
-    """Each topology's whole saturation binary search is one runner
+    """The frozen roster's :data:`SCALABLE` contenders at ``n_routers``.
+    Each topology's whole saturation binary search is one runner
     task, fanned across workers and cached.  Every search's probes
     share one compiled network and are memoized by rate."""
     from ..runner import SaturationJob, TrafficSpec, ensure_runner
@@ -69,7 +69,7 @@ def fig11_points(
         for cls in link_classes:
             for entry in roster(
                 cls, n_routers, include_lpbt=False, include_scop=False,
-                allow_generate=allow_generate, runner=runner,
+                allow_generate=False,
             ):
                 if entry.name == "Kite-Large" and n_routers == 48:
                     continue  # the paper could not scale Kite-Large to 8x6
@@ -81,9 +81,9 @@ def fig11_points(
         sats = runner.saturations([
             SaturationJob(
                 table=table, traffic=TrafficSpec.uniform(layout.n),
-                name=entry.name, warmup=warmup, measure=measure, seed=seed,
+                warmup=warmup, measure=measure, seed=seed,
             )
-            for cls, entry, table in cast
+            for _, _, table in cast
         ])
     points = [
         Fig11Point(

@@ -5,13 +5,9 @@ bidirectional from unidirectional links)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from ..core.pregenerated import netsmith_topology
 from ..topology import CutResult, Topology, ascii_art, sparsest_cut
-
-if TYPE_CHECKING:
-    from ..runner import Runner
 
 
 @dataclass
@@ -21,17 +17,11 @@ class Fig4Result:
     rendering: str
 
 
-def fig4_render(
-    n_routers: int = 20,
-    allow_generate: bool = True,
-    runner: Optional["Runner"] = None,
-) -> Fig4Result:
-    """A runner routes any live-generation fallback through the cached
-    ``generation`` stage (frozen configurations never solve)."""
-    topo = netsmith_topology(
-        "latop", "medium", n_routers, allow_generate, runner=runner
-    )
-    cut = sparsest_cut(topo, exact=n_routers <= 22)
+def fig4_render(n_routers: int = 20) -> Fig4Result:
+    """The frozen NS-LatOp-medium design at ``n_routers`` (``KeyError``
+    when none is frozen at that size)."""
+    topo = netsmith_topology("latop", "medium", n_routers, allow_generate=False)
+    cut = sparsest_cut(topo)
     u, v = cut.partition
     art = ascii_art(topo)
     art += (

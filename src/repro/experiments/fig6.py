@@ -53,10 +53,10 @@ def fig6_curves(
     warmup: int = 400,
     measure: int = 1500,
     seed: int = 0,
-    allow_generate: bool = True,
     runner: Optional["Runner"] = None,
 ) -> Fig6Result:
-    """Every (topology, rate) sim point fans out across the runner's
+    """The frozen roster of each link class, one curve per contender.
+    Every (topology, rate) sim point fans out across the runner's
     workers and lands in its result cache.  Each routed topology
     compiles once per curve (per worker, when fanned out) and traffic is
     pre-generated as vectorized traces."""
@@ -76,9 +76,7 @@ def fig6_curves(
         cast = [
             (cls, entry, routed_entry(entry, seed=seed, runner=runner))
             for cls in link_classes
-            for entry in roster(
-                cls, n_routers, allow_generate=allow_generate, runner=runner,
-            )
+            for entry in roster(cls, n_routers, allow_generate=False)
         ]
         jobs = [
             CurveJob(

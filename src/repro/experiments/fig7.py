@@ -44,17 +44,17 @@ def fig7_bars(
     warmup: int = 300,
     measure: int = 1000,
     seed: int = 0,
-    allow_generate: bool = True,
     runner: Optional["Runner"] = None,
 ) -> List[Fig7Bar]:
+    """Both routings of each frozen-roster contender of ``link_class``
+    (NetSmith's MCLB only), one saturation search per bar."""
     from ..runner import SaturationJob, TrafficSpec, ensure_runner
 
     layout = standard_layout(n_routers)
     cast = []
     with ensure_runner(runner) as runner:
         for entry in roster(
-            link_class, n_routers, include_lpbt=False,
-            allow_generate=allow_generate, runner=runner,
+            link_class, n_routers, include_lpbt=False, allow_generate=False,
         ):
             for policy in (NDBT, MCLB):
                 if entry.name.startswith("NS-") and policy == NDBT:
@@ -73,10 +73,9 @@ def fig7_bars(
         sats = runner.saturations([
             SaturationJob(
                 table=table, traffic=TrafficSpec.uniform(layout.n),
-                name=f"{entry.name}/{policy}",
                 warmup=warmup, measure=measure, seed=seed,
             )
-            for entry, policy, table, _ in cast
+            for _, _, table, _ in cast
         ])
     return [
         Fig7Bar(

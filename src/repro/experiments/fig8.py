@@ -52,12 +52,12 @@ def fig8_results(
     warmup: int = 500,
     measure: int = 2000,
     seed: int = 0,
-    allow_generate: bool = True,
     max_entries_per_class: Optional[int] = None,
     runner: Optional["Runner"] = None,
 ) -> Fig8Result:
-    """Every (benchmark, topology) closed-loop run fans out across the
-    runner's workers and lands in its result cache."""
+    """The frozen roster of each link class (LPBT aside) against the
+    mesh.  Every (benchmark, topology) closed-loop run fans out across
+    the runner's workers and lands in its result cache."""
     from ..runner import ensure_runner
 
     with ensure_runner(runner) as runner:
@@ -67,8 +67,7 @@ def fig8_results(
         tables: Dict[str, RoutingTable] = {}
         for cls in link_classes:
             entries = roster(
-                cls, n_routers, include_lpbt=False,
-                allow_generate=allow_generate, runner=runner,
+                cls, n_routers, include_lpbt=False, allow_generate=False,
             )
             if max_entries_per_class is not None:
                 # keep the best expert (Kite) and the NetSmith entries

@@ -10,14 +10,11 @@ fraction of interposer area.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..power import PowerArea, analyze
 from ..topology import expert_topology
 from .registry import roster
-
-if TYPE_CHECKING:
-    from ..runner import Runner
 
 
 @dataclass
@@ -32,17 +29,14 @@ def fig9_rows(
     link_classes: Tuple[str, ...] = ("small", "medium", "large"),
     n_routers: int = 20,
     activity: float = 0.3,
-    allow_generate: bool = True,
-    runner: Optional["Runner"] = None,
 ) -> List[Fig9Row]:
-    """A runner routes any NetSmith live-generation fallback through the
-    cached ``generation`` stage."""
+    """Power and area of each frozen-roster contender (LPBT aside),
+    normalized to the mesh's."""
     base = analyze(expert_topology("Mesh", n_routers), activity=activity)
     rows: List[Fig9Row] = []
     for cls in link_classes:
         for entry in roster(
-            cls, n_routers, include_lpbt=False,
-            allow_generate=allow_generate, runner=runner,
+            cls, n_routers, include_lpbt=False, allow_generate=False,
         ):
             pa = analyze(entry.topology, activity=activity)
             rows.append(

@@ -20,7 +20,6 @@ the grid fans across workers and an immediate rerun is 100% cache hits.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -33,6 +32,7 @@ from ..faults import (
 )
 from ..fullsys.closedloop import RetryPolicy
 from ..fullsys.workloads import workload
+from ..runner.cache import write_json_artifact
 from ..runner.hashing import config_hash
 from ..runner.orchestrator import RecoveryJob, Runner, ensure_runner
 from ..sim.stats import RecoveryMetrics, WindowSample, recovery_metrics
@@ -182,12 +182,7 @@ def _write_artifacts(out_dir: str, result: RecoveryResult) -> None:
         name = (
             f"{cell.topology}-{cell.workload}-{cell.scenario}-{digest}.json"
         )
-        path = os.path.join(out_dir, name.replace("/", "_"))
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json_artifact(os.path.join(out_dir, name.replace("/", "_")), doc)
     summary_doc = {
         "config": result.config,
         "ranking": [
@@ -197,9 +192,7 @@ def _write_artifacts(out_dir: str, result: RecoveryResult) -> None:
         "cells": [c.as_dict() for c in result.cells],
     }
     for name in (f"summary-{digest}.json", "summary.json"):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            json.dump(summary_doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_artifact(os.path.join(out_dir, name), summary_doc)
 
 
 def recovery_grid(

@@ -9,9 +9,10 @@ Every figure compares the same cast (paper Table II):
   routing only").
 
 ``roster`` assembles the per-link-class cast at a given system size,
-serving frozen artifacts where registered; ``routed_table`` applies the
-matching routing policy plus deadlock-free VC assignment and compiles the
-simulator's routing table.
+serving frozen artifacts where registered (every figure reads that
+frozen roster); ``routed_table`` applies the matching routing policy
+plus deadlock-free VC assignment and compiles the simulator's routing
+table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.pregenerated import netsmith_topology
 from ..routing import RoutingTable
-from ..topology import Topology, expert_topology, standard_layout
+from ..topology import (
+    EXACT_CUT_LIMIT,
+    Topology,
+    expert_topology,
+    standard_layout,
+)
 from ..topology.expert import EXPERT_FAMILIES
 
 #: Routing policy names.
@@ -48,21 +54,21 @@ def roster(
     n_routers: int = 20,
     include_lpbt: bool = True,
     include_scop: bool = True,
-    include_mesh: bool = False,
     allow_generate: bool = True,
     runner=None,
 ) -> List[Entry]:
     """The paper's comparison cast for one link class and size.
 
     Any router count is accepted: non-standard sizes get the most-square
-    grid, expert families that don't scale to it are skipped, and (with
-    ``allow_generate``) NetSmith contenders come from the design-space
-    pipeline's cached ``generation`` stage — a :class:`repro.runner.Runner`
-    makes those solves one-time across runs.
+    grid and expert families that don't scale to it are skipped.
+    NetSmith contenders come from the frozen registry; the figures read
+    only that (``allow_generate=False``), which leaves out a NetSmith
+    design with no frozen entry.  With ``allow_generate`` such a design
+    comes from the design-space pipeline's cached ``generation`` stage
+    instead, and a :class:`repro.runner.Runner` makes that solve
+    one-time across runs.
     """
     entries: List[Entry] = []
-    if include_mesh:
-        entries.append(Entry(expert_topology("Mesh", n_routers), NDBT))
     for name, cls in EXPERT_FAMILIES.items():
         if cls != link_class or name == "Mesh":
             continue
@@ -97,8 +103,8 @@ def roster(
         )
     except KeyError:
         pass
-    # SCOp needs exact sparsest-cut separation (n <= 22).
-    if include_scop and n_routers <= 22:
+    # SCOp needs exact sparsest-cut separation.
+    if include_scop and n_routers <= EXACT_CUT_LIMIT:
         try:
             entries.append(
                 Entry(
@@ -117,26 +123,19 @@ _table_cache: Dict[Tuple[str, Optional[str], str], RoutingTable] = {}
 
 
 def _memo_key(
-    topo: Topology,
-    policy: str,
-    seed: int,
-    max_vcs: Optional[int] = None,
-    time_limit: float = 60.0,
+    topo: Topology, policy: str, seed: int
 ) -> Tuple[str, Optional[str], str]:
     """In-process memo key, shared by every routed-table entry point.
 
-    The routing task's own identity — layout, link set, policy, seed,
-    VC budget and MCLB solve budget, as
-    :func:`~repro.runner.tasks.routing_payload` builds it — plus the
-    name and link class the returned table carries.  Two topologies
-    that share a name and a link count but not their links get
-    different tables.
+    The routing task's own identity — layout, link set, policy and
+    seed, as :func:`~repro.runner.tasks.routing_payload` builds it —
+    plus the name and link class the returned table carries.  Two
+    topologies that share a name and a link count but not their links
+    get different tables.
     """
-    from ..runner.tasks import default_max_vcs, routing_payload
+    from ..runner.tasks import routing_payload
 
-    if max_vcs is None:
-        max_vcs = default_max_vcs(topo.n)
-    payload = routing_payload(topo, policy, seed, max_vcs, time_limit)
+    payload = routing_payload(topo, policy, seed)
     return (topo.name, topo.link_class, json.dumps(payload, sort_keys=True))
 
 
@@ -144,41 +143,31 @@ def routed_table(
     topo: Topology,
     policy: str = NDBT,
     seed: int = 0,
-    max_vcs: Optional[int] = None,
     use_cache: bool = True,
     runner=None,
-    time_limit: float = 60.0,
 ) -> RoutingTable:
     """Route a topology with a named policy and compile its table.
 
-    The VC budget scales with network size: 8 layers suffice for every
-    20/30-router configuration; irregular 48-router networks with MCLB's
-    unconstrained shortest paths can need a few more.
+    A routed table is determined by (topology, policy, seed): the VC
+    budget follows the router count and MCLB's LP has a fixed solve
+    budget (both rules of :func:`~repro.runner.tasks.routing_payload`).
 
     Compilation is one ``routing`` pipeline task through the runner —
     and therefore its content-addressed disk cache and worker pool:
     MCLB's LP solve is seconds per topology, and (unlike a fresh solve)
     a cached table is identical across runs of the same configuration.
-    ``time_limit`` and ``max_vcs`` are part of that configuration — both
-    the in-process memo and the disk key include them, so changing a
-    budget recomputes rather than serving a table produced under a
-    different one.
+    ``use_cache=False`` skips the in-process memo (the runner's disk
+    cache still applies).
     """
     if policy not in (NDBT, MCLB, RANDOM_SP):
         raise ValueError(f"unknown routing policy {policy!r}")
     from ..runner import RoutingJob, ensure_runner
-    from ..runner.tasks import default_max_vcs
 
-    if max_vcs is None:
-        max_vcs = default_max_vcs(topo.n)
-    key = _memo_key(topo, policy, seed, max_vcs, time_limit)
+    key = _memo_key(topo, policy, seed)
     if use_cache and key in _table_cache:
         return _table_cache[key]
 
-    job = RoutingJob(
-        topology=topo, policy=policy, seed=seed,
-        max_vcs=max_vcs, time_limit=time_limit,
-    )
+    job = RoutingJob(topology=topo, policy=policy, seed=seed)
     with ensure_runner(runner) as runner:
         table = runner.tables([job])[0]
     if use_cache:
@@ -246,13 +235,13 @@ class ExperimentSpec:
 def _run_table2(runner, fast, **kw):
     from .table2 import format_table, table2
 
-    return format_table(table2(20, allow_generate=False, runner=runner), 20)
+    return format_table(table2(20), 20)
 
 
 def _run_fig1(runner, fast, **kw):
     from .fig1 import fig1_points, pareto_front
 
-    pts = fig1_points(20, allow_generate=False, runner=runner)
+    pts = fig1_points(20, runner=runner)
     front = sorted(p.name for p in pareto_front(pts))
     return {"points": len(pts), "pareto_front": front}
 
@@ -260,7 +249,7 @@ def _run_fig1(runner, fast, **kw):
 def _run_fig4(runner, fast, **kw):
     from .fig4 import fig4_render
 
-    return fig4_render(20, allow_generate=False, runner=runner)
+    return fig4_render(20)
 
 
 def _run_fig5(runner, fast, **kw):
@@ -284,7 +273,7 @@ def _summarize_fig5(res):
 def _run_fig9(runner, fast, **kw):
     from .fig9 import fig9_rows
 
-    return fig9_rows(allow_generate=False, runner=runner, **kw)
+    return fig9_rows(**kw)
 
 
 def _summarize_fig9(rows):
@@ -312,9 +301,7 @@ def _run_fig6(kind):
     def run(runner, fast, **kw):
         from .fig6 import fig6_curves
 
-        return fig6_curves(
-            kind, allow_generate=False, runner=runner, **_fig6_budget(fast), **kw
-        )
+        return fig6_curves(kind, runner=runner, **_fig6_budget(fast), **kw)
 
     return run
 
@@ -329,7 +316,7 @@ def _run_fig7(runner, fast, **kw):
     from .fig7 import fig7_bars
 
     return fig7_bars(
-        "large", allow_generate=False, runner=runner,
+        "large", runner=runner,
         warmup=200 if fast else 300, measure=600 if fast else 1000, **kw,
     )
 
@@ -366,7 +353,7 @@ def _run_fig8(runner, fast, **kw):
         [w for w in PARSEC if w.name in FIG8_FAST_WORKLOADS] if fast else None
     )
     return fig8_results(
-        workloads=workloads, allow_generate=False, runner=runner,
+        workloads=workloads, runner=runner,
         max_entries_per_class=3, **fig8_budget(fast), **kw,
     )
 
@@ -385,7 +372,7 @@ def _run_fig10(runner, fast, **kw):
     from .fig10 import fig10_curves
 
     return fig10_curves(
-        allow_generate=False, runner=runner,
+        runner=runner,
         warmup=250 if fast else 400, measure=800 if fast else 1500, **kw,
     )
 
@@ -403,7 +390,7 @@ def _run_fig11(runner, fast, **kw):
     from .fig11 import fig11_points
 
     return fig11_points(
-        allow_generate=False, runner=runner,
+        runner=runner,
         warmup=200 if fast else 300, measure=600 if fast else 1000, **kw,
     )
 

@@ -48,7 +48,7 @@ def _render(fast: bool, runner: "Runner") -> str:
     w("## Table II — topology metrics (20 routers)\n\n")
     w("| class | topology | links (paper) | diam (paper) | hops (paper) | biBW (paper) |\n")
     w("|---|---|---|---|---|---|\n")
-    for row in table2(20, allow_generate=False, runner=runner):
+    for row in table2(20):
         m = row.measured
         if row.paper:
             pl, pd, ph, pb = row.paper
@@ -67,7 +67,7 @@ def _render(fast: bool, runner: "Runner") -> str:
 
     # ---- Fig. 1 ---------------------------------------------------------------
     w("## Fig. 1 — latency vs saturation-throughput frontier\n\n")
-    pts = fig1_points(20, allow_generate=False, runner=runner)
+    pts = fig1_points(20, runner=runner)
     front = {p.name for p in pareto_front(pts)}
     w(f"Pareto frontier: {sorted(front)}\n\n")
     non_ns = [n for n in front if not n.startswith("NS-")]
@@ -80,8 +80,7 @@ def _render(fast: bool, runner: "Runner") -> str:
     measure = 800 if fast else 1500
     w("## Fig. 6 — synthetic traffic saturation (packets/node/ns)\n\n")
     for kind in ("coherence", "memory"):
-        res = fig6_curves(kind, allow_generate=False, warmup=250, measure=measure,
-                          runner=runner)
+        res = fig6_curves(kind, warmup=250, measure=measure, runner=runner)
         w(f"### {kind}\n\n| topology | saturation |\n|---|---|\n")
         for name, sat in res.saturation_ranking():
             w(f"| {name} | {sat:.3f} |\n")
@@ -95,8 +94,8 @@ def _render(fast: bool, runner: "Runner") -> str:
 
     # ---- Fig. 7 ---------------------------------------------------------------
     w("## Fig. 7 — topology vs routing isolation (large class)\n\n")
-    bars = fig7_bars("large", allow_generate=False, warmup=200,
-                     measure=600 if fast else 1000, runner=runner)
+    bars = fig7_bars("large", warmup=200, measure=600 if fast else 1000,
+                     runner=runner)
     w("| topology | routing | measured | cut bound | occ bound | routed bound |\n")
     w("|---|---|---|---|---|---|\n")
     for b in bars:
@@ -119,7 +118,7 @@ def _render(fast: bool, runner: "Runner") -> str:
         wl for wl in PARSEC if wl.name in FIG8_FAST_WORKLOADS
     ]
     res8 = fig8_results(
-        workloads=subset, allow_generate=False, max_entries_per_class=3,
+        workloads=subset, max_entries_per_class=3,
         runner=runner, **fig8_budget(fast),
     )
     w("| topology | geomean speedup |\n|---|---|\n")
@@ -132,7 +131,7 @@ def _render(fast: bool, runner: "Runner") -> str:
 
     # ---- Fig. 9 ---------------------------------------------------------------
     w("## Fig. 9 — power/area vs mesh\n\n")
-    rows9 = fig9_rows(allow_generate=False, runner=runner)
+    rows9 = fig9_rows()
     w("| topology | static | dynamic | total power | wire area |\n")
     w("|---|---|---|---|---|\n")
     for r in rows9:

@@ -19,13 +19,13 @@ grid fans across workers and an immediate rerun is 100% cache hits.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultSchedule, central_link_faults, central_router_fault
 from ..runner import tasks as _tasks
+from ..runner.cache import write_json_artifact
 from ..runner.hashing import config_hash
 from ..runner.orchestrator import Runner, SaturationJob, ensure_runner
 from ..sim.burst import BurstSpec
@@ -177,12 +177,7 @@ def _write_artifacts(
     for cell in result.cells:
         doc = {"config": result.config, "scenario": cell.as_dict()}
         name = f"{cell.topology}-{cell.fault}-{cell.traffic}-{digest}.json"
-        path = os.path.join(out_dir, name.replace("/", "_"))
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json_artifact(os.path.join(out_dir, name.replace("/", "_")), doc)
     ranking_doc = {
         "config": result.config,
         "ranking": [
@@ -192,9 +187,7 @@ def _write_artifacts(
         "cells": [c.as_dict() for c in result.cells],
     }
     for name in (f"ranking-{digest}.json", "ranking.json"):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            json.dump(ranking_doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_artifact(os.path.join(out_dir, name), ranking_doc)
 
 
 def robustness_grid(
@@ -238,7 +231,6 @@ def robustness_grid(
                 base_index[(topo.name, t_label)] = len(base_jobs)
                 base_jobs.append(SaturationJob(
                     table=table, traffic=spec,
-                    name=f"{topo.name}/{t_label}",
                     lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
                     warmup=warmup, measure=measure, seed=seed,
                 ))
@@ -247,7 +239,6 @@ def robustness_grid(
                     grid.append((table, f_label, schedule, t_label, spec))
                     deg_jobs.append(SaturationJob(
                         table=table, traffic=spec,
-                        name=f"{topo.name}/{f_label}/{t_label}",
                         lo=PROBE_FLOOR, hi=SAT_HI, iters=iters,
                         warmup=warmup, measure=measure, seed=seed,
                         faults=schedule,

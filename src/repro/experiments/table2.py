@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..topology import TopologyMetrics, summarize
 from .registry import roster
-
-if TYPE_CHECKING:
-    from ..runner import Runner
 
 #: Paper-published Table II values: name -> (links, diam, avg hops, bi bw).
 PAPER_TABLE2_20: Dict[Tuple[str, str], Tuple[int, int, float, int]] = {
@@ -63,14 +60,10 @@ class Table2Row:
 def table2(
     n_routers: int = 20,
     link_classes: Tuple[str, ...] = ("small", "medium", "large"),
-    allow_generate: bool = True,
-    exact_cuts: Optional[bool] = None,
-    runner: Optional["Runner"] = None,
 ) -> List[Table2Row]:
-    """Regenerate Table II's measured rows for one system size.
-
-    A runner routes any NetSmith live-generation fallback through the
-    cached ``generation`` stage (frozen entries never solve).
+    """Regenerate Table II's measured rows for one system size from the
+    frozen roster.  Cuts are exact up to ``EXACT_CUT_LIMIT`` routers and
+    heuristic above.
     """
     paper = PAPER_TABLE2_20 if n_routers == 20 else PAPER_TABLE2_30
     rows: List[Table2Row] = []
@@ -79,10 +72,9 @@ def table2(
             cls,
             n_routers,
             include_scop=(n_routers == 20),
-            allow_generate=allow_generate,
-            runner=runner,
+            allow_generate=False,
         ):
-            metrics = summarize(entry.topology, exact=exact_cuts)
+            metrics = summarize(entry.topology)
             rows.append(
                 Table2Row(
                     link_class=cls,

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..topology import Layout, parse_layout
+from ..topology import EXACT_CUT_LIMIT, Layout, parse_layout
 
 #: Objective names and their frozen-registry kinds.
 OBJECTIVES = ("latency", "sparsest_cut", "shuffle")
@@ -46,7 +46,7 @@ STRATEGIES = ("milp", "sa", "portfolio", "hierarchical")
 
 #: Exact sparsest-cut separation (and therefore SCOp and the SA
 #: sparsest-cut objective) is enumeration-bound.
-MAX_SCOP_ROUTERS = 22
+MAX_SCOP_ROUTERS = EXACT_CUT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ class DesignPoint:
         name = f"{pregenerated._KIND_LABEL[self.kind]}-{self.link_class}"
         topo = Topology(self.layout, links, name=name, link_class=self.link_class)
         if self.objective == "sparsest_cut":
-            objective = sparsest_cut(topo, exact=True).value
+            objective = sparsest_cut(topo).value
         else:
             from ..core.search import _total_hops
 
@@ -363,7 +363,7 @@ class DesignPoint:
                 seed_topo = Topology(
                     self.layout, seed_links, link_class=self.link_class
                 )
-                initial_cuts = [sparsest_cut(seed_topo, exact=True).members]
+                initial_cuts = [sparsest_cut(seed_topo).members]
             gen, _diag = generate_scop(
                 config,
                 time_limit=self.time_limit,

@@ -14,13 +14,14 @@ not errored: a sweep over a big grid should degrade, not die.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..runner.cache import write_json_artifact
 from ..runner.hashing import config_hash
 from ..runner.orchestrator import Runner, ensure_runner
+from ..runner.tasks import MCLB_TIME_LIMIT
 from ..topology.io import to_dict as topology_to_dict
 from .design import MAX_SCOP_ROUTERS, DesignPoint
 from .stages import (
@@ -167,11 +168,7 @@ def _write_artifact(
             "robustness": e.robustness,
         },
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json_artifact(path, doc)
     return path
 
 
@@ -180,7 +177,6 @@ def explore(
     runner: Optional[Runner] = None,
     policy: str = "mclb",
     route_seed: int = 0,
-    route_time_limit: float = 60.0,
     eval_warmup: int = 300,
     eval_measure: int = 900,
     eval_iters: int = 5,
@@ -226,7 +222,6 @@ def explore(
             [g.topology for g in generations],
             policy=policy,
             seed=route_seed,
-            time_limit=route_time_limit,
             runner=runner,
         )
         evaluations = evaluate_tables(
@@ -258,7 +253,9 @@ def explore(
         eval_config = {
             "policy": policy,
             "route_seed": route_seed,
-            "route_time_limit": route_time_limit,
+            # The routing task's fixed MCLB budget, kept so artifact
+            # digests hold.
+            "route_time_limit": MCLB_TIME_LIMIT,
             "eval_warmup": eval_warmup,
             "eval_measure": eval_measure,
             "eval_iters": eval_iters,
@@ -295,7 +292,5 @@ def explore(
             "points": [p.as_dict() for p in points], "eval": eval_config,
         })[:12]
         for name in (f"ranking-{digest}.json", "ranking.json"):
-            with open(os.path.join(out_dir, name), "w") as fh:
-                json.dump(ranking_doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            write_json_artifact(os.path.join(out_dir, name), ranking_doc)
     return result

@@ -174,18 +174,13 @@ def route_topologies(
     topologies: Sequence[Any],
     policy: str = "mclb",
     seed: int = 0,
-    max_vcs: Optional[int] = None,
-    time_limit: float = 60.0,
     runner: Optional[Runner] = None,
 ) -> List[Any]:
     """Route + VC-allocate + compile tables for many topologies (stages
     2-3), fanned across workers as ``routing`` tasks keyed by link set
     (identically-linked topologies share one compilation)."""
     jobs = [
-        RoutingJob(
-            topology=topo, policy=policy, seed=seed,
-            max_vcs=max_vcs, time_limit=time_limit,
-        )
+        RoutingJob(topology=topo, policy=policy, seed=seed)
         for topo in topologies
     ]
     with ensure_runner(runner) as r:
@@ -221,9 +216,9 @@ def evaluate_tables(
     robustness: bool = False,
     sim_cutoff: int = SIM_CUTOFF,
 ) -> List[PointEvaluation]:
-    """Evaluate routed tables: graph metrics locally (cheap, exact for
-    n <= 22) plus a uniform-traffic saturation search per table through
-    the cached ``sat_search`` family.
+    """Evaluate routed tables: graph metrics locally (cheap, cuts exact
+    up to ``EXACT_CUT_LIMIT`` routers) plus a uniform-traffic saturation
+    search per table through the cached ``sat_search`` family.
 
     With ``robustness=True`` each table also runs a degraded saturation
     search under its canonical fault — the most-central full-duplex link
@@ -249,7 +244,6 @@ def evaluate_tables(
             SaturationJob(
                 table=tables[i],
                 traffic=TrafficSpec.uniform(tables[i].topology.n),
-                name=tables[i].topology.name,
                 warmup=warmup,
                 measure=measure,
                 iters=iters,
@@ -261,11 +255,7 @@ def evaluate_tables(
             from ..faults import central_link_faults
 
             jobs = jobs + [
-                replace(
-                    j,
-                    name=f"{j.name}/faulted",
-                    faults=central_link_faults(j.table.topology, 1),
-                )
+                replace(j, faults=central_link_faults(j.table.topology, 1))
                 for j in jobs
             ]
         results = r.saturations(jobs)
@@ -283,7 +273,7 @@ def evaluate_tables(
         out.append(PointEvaluation(
             avg_hops=average_hops(topo),
             diameter=topo_diameter(topo),
-            sparsest_cut=sparsest_cut(topo, exact=topo.n <= 22).value,
+            sparsest_cut=sparsest_cut(topo).value,
             saturation=float(sat),
             saturation_ns=float(sat) * clock,
             robustness=(

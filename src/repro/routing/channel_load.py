@@ -95,11 +95,11 @@ class ThroughputBounds:
         return "cut" if self.cut_bound <= self.occupancy_bound else "occupancy"
 
 
-def throughput_bounds(topo: Topology, routes: PathSet, **cut_kw) -> ThroughputBounds:
+def throughput_bounds(topo: Topology, routes: PathSet) -> ThroughputBounds:
     """All saturation bounds, flits/node/cycle (Fig. 7's reference lines)."""
     analysis = channel_loads(routes)
     return ThroughputBounds(
-        cut_bound=cut_throughput_bound(topo, **cut_kw),
+        cut_bound=cut_throughput_bound(topo),
         occupancy_bound=occupancy_throughput_bound(topo),
         routed_bound=analysis.saturation_injection(topo.n),
     )

@@ -15,8 +15,8 @@ and greppable.
 
 Robustness over cleverness:
 
-* writes are atomic (temp file + ``os.replace``) so a killed run never
-  leaves a half-written entry;
+* writes are atomic (temp file + ``os.replace``, :func:`atomic_write`)
+  so a killed run never leaves a half-written entry;
 * a corrupted or unreadable entry is treated as a miss, counted in
   ``stats.errors``, and deleted so the recomputed value replaces it;
 * hit/miss/put counters accumulate on the cache object for reporting
@@ -46,6 +46,34 @@ def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
         os.getcwd(), ".repro-cache"
     )
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same
+    directory and ``os.replace``: readers see the old file or the new
+    one, never a torn one, and a failed write removes its temp file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".json"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def write_json_artifact(path: str, doc: Any) -> None:
+    """Write an artifact doc (explore, robustness and recovery files):
+    ``indent=1``, sorted keys and a trailing newline, atomically.  The
+    doc is encoded before any file is touched, so a doc that fails to
+    encode leaves the previous file as it was."""
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    atomic_write(path, text.encode())
 
 
 @dataclass
@@ -134,22 +162,11 @@ class ResultCache:
         path = self.zpath_for(key) if compress else self.path_for(key)
         twin = self.path_for(key) if compress else self.zpath_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
+        atomic_write(
+            path,
+            zlib.compress(payload.encode(), level=6)
+            if compress else payload.encode(),
         )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(
-                    zlib.compress(payload.encode(), level=6)
-                    if compress else payload.encode()
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         try:
             os.unlink(twin)
         except OSError:

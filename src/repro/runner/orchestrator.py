@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -30,7 +29,7 @@ from ..sim.fastnet import DEFAULT_ENGINE, resolve_engine
 from ..sim.sweep import SweepResult, assemble_curve
 from ..sim.traffic import TrafficSpec
 from . import tasks
-from .cache import MISS, CacheStats, ResultCache
+from .cache import MISS, CacheStats, ResultCache, atomic_write
 from .executor import (
     ParallelExecutor,
     QuarantineError,
@@ -75,7 +74,6 @@ class SaturationJob:
 
     table: RoutingTable
     traffic: TrafficSpec
-    name: str
     lo: float = 0.01
     hi: float = 1.0
     iters: int = 6
@@ -98,9 +96,6 @@ class RoutingJob:
     topology: Any  # repro.topology.Topology
     policy: str = "mclb"
     seed: int = 0
-    #: None = the size-scaled default (8 up to 30 routers, 14 above).
-    max_vcs: Optional[int] = None
-    time_limit: float = 60.0
 
 
 @dataclass
@@ -114,7 +109,6 @@ class ClosedLoopJob:
 
     table: RoutingTable
     workload: Any  # repro.fullsys.workloads.WorkloadProfile
-    link_class: Optional[str] = None
     warmup: int = 600
     measure: int = 2500
     seed: int = 0
@@ -136,7 +130,6 @@ class RecoveryJob:
     workload: Any  # repro.fullsys.workloads.WorkloadProfile
     faults: Any  # repro.faults.FaultSchedule
     retry: Any  # repro.fullsys.closedloop.RetryPolicy
-    link_class: Optional[str] = None
     total: int = 1400
     window: int = 50
     seed: int = 0
@@ -237,12 +230,10 @@ class Runner:
         directory = os.path.join(self.cache.root, "failures")
         try:
             os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".json"
+            atomic_write(
+                os.path.join(directory, f"{failure.key}.json"),
+                json.dumps(failure.as_dict(), indent=2).encode(),
             )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(failure.as_dict(), fh, indent=2)
-            os.replace(tmp, os.path.join(directory, f"{failure.key}.json"))
         except OSError:
             pass  # reporting must not mask the failure being reported
 
@@ -478,10 +469,13 @@ class Runner:
         """Fan closed-loop (benchmark, topology) runs across workers
         (Fig. 8 / the report's full-system section).  Returns
         :class:`~repro.fullsys.speedup.WorkloadResult` objects in
-        submission order; cached pairs skip simulation outright."""
+        submission order; cached pairs skip simulation outright.
+
+        Closed-loop and recovery runs take their clock from the table's
+        own link class, so their payloads carry ``link_class=None``."""
         payloads = [
             tasks.closed_loop_payload(
-                j.table, j.workload, j.link_class,
+                j.table, j.workload, None,
                 j.warmup, j.measure, j.seed,
                 faults=j.faults,
                 retry=j.retry,
@@ -496,7 +490,7 @@ class Runner:
         order; the caller derives drain/settling metrics from them."""
         payloads = [
             tasks.recovery_payload(
-                j.table, j.workload, j.link_class, j.faults, j.retry,
+                j.table, j.workload, None, j.faults, j.retry,
                 j.total, j.window, j.seed,
             )
             for j in jobs
@@ -513,13 +507,7 @@ class Runner:
         job's name/link class regardless of who computed the entry.
         """
         payloads = [
-            tasks.routing_payload(
-                j.topology, j.policy, j.seed,
-                j.max_vcs if j.max_vcs is not None
-                else tasks.default_max_vcs(j.topology.n),
-                j.time_limit,
-            )
-            for j in jobs
+            tasks.routing_payload(j.topology, j.policy, j.seed) for j in jobs
         ]
         results = self.run_tasks("routing", payloads)
         for job, table in zip(jobs, results):

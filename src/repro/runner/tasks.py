@@ -608,28 +608,27 @@ def generation_result_from_dict(doc: Dict[str, Any]):
 
 
 def default_max_vcs(n_routers: int) -> int:
-    """The shared VC-budget heuristic: 8 layers suffice for every
+    """The VC budget of every routing task: 8 layers suffice for every
     20/30-router configuration; irregular 48-router networks with MCLB's
-    unconstrained shortest paths can need a few more.  Every routing
-    payload builder resolves its default through this one function so
-    the rule (part of the cache key) cannot drift between call sites."""
+    unconstrained shortest paths can need a few more."""
     return 8 if n_routers <= 30 else 14
 
 
-def routing_payload(
-    topo,
-    policy: str,
-    seed: int,
-    max_vcs: int,
-    time_limit: float = 60.0,
-) -> Dict[str, Any]:
+#: MCLB's LP solve budget (seconds) in every routing task.
+MCLB_TIME_LIMIT = 60.0
+
+
+def routing_payload(topo, policy: str, seed: int) -> Dict[str, Any]:
     """One route + VC-allocate + table-compile unit (pipeline stage 2).
 
     The topology enters the key as layout + link set only — never its
     display name or link class, which don't influence routing — so a
     pipeline-generated design and an identically-linked frozen one share
     a single cached table (the caller re-attaches its own identity to
-    the decoded result; see :meth:`Runner.tables`).
+    the decoded result; see :meth:`Runner.tables`).  The budgets are
+    rules, not options: :func:`default_max_vcs` of the router count and
+    :data:`MCLB_TIME_LIMIT`, both written into the payload (and so the
+    cache key).
     """
     return {
         "task": "routing",
@@ -640,8 +639,8 @@ def routing_payload(
         },
         "policy": str(policy),
         "seed": int(seed),
-        "max_vcs": int(max_vcs),
-        "time_limit": float(time_limit),
+        "max_vcs": default_max_vcs(topo.n),
+        "time_limit": MCLB_TIME_LIMIT,
     }
 
 

@@ -222,7 +222,8 @@ def find_saturation(
     (Fig. 11's throughput comparisons).  All probes share one network
     compile, and results are memoized by offered rate, so no rate is
     ever simulated twice within one search (the ``lo``/``hi`` endpoint
-    probes included).
+    probes included).  Every probe is judged by :func:`classify_point`,
+    against the ``lo`` probe's latency as the zero-load latency.
     """
     probes: Dict[float, SimStats] = {}
 
@@ -237,28 +238,16 @@ def find_saturation(
         return st
 
     base = probe(lo)
+    if classify_point(lo, base, None).saturated:
+        # Even the base probe is saturated (no finite latency, or the
+        # network cannot accept the lowest offered rate): the bisection
+        # bracket [lo, hi] does not exist and returning ``a == lo``
+        # would overstate capacity.
+        return 0.0
     zero_load = base.avg_latency_cycles
-    if not np.isfinite(zero_load):
-        return 0.0
-    if (
-        base.deliverable_packets_node_cycle > 0
-        and base.throughput_packets_node_cycle
-        < ACCEPTANCE_FLOOR * base.deliverable_packets_node_cycle
-    ):
-        # Even the base probe is saturated: the network cannot accept the
-        # lowest offered rate, so the bisection bracket [lo, hi] does not
-        # exist and returning ``a == lo`` would overstate capacity.
-        return 0.0
 
     def saturated(rate: float) -> bool:
-        st = probe(rate)
-        lat = st.avg_latency_cycles
-        return (
-            not np.isfinite(lat)
-            or lat > SATURATION_LATENCY_FACTOR * zero_load
-            or st.throughput_packets_node_cycle
-            < ACCEPTANCE_FLOOR * st.deliverable_packets_node_cycle
-        )
+        return classify_point(rate, probe(rate), zero_load).saturated
 
     if not saturated(hi):
         return hi

@@ -85,7 +85,7 @@ class TraceStream:
         rng: np.random.Generator,
         chunk_cycles: int = TRACE_CHUNK_CYCLES,
     ):
-        spec = traffic.dest_spec
+        spec = traffic.dest_spec_for(n_nodes)
         if rate <= 0:
             raise ValueError("TraceStream requires a positive injection rate")
         self.spec = spec
@@ -493,7 +493,7 @@ def pregenerate_batch(
     per node per cycle plus a Bernoulli remainder, matching the exact
     engines' count law with a relaxed draw order.
     """
-    spec = traffic.dest_spec
+    spec = traffic.dest_spec_for(n_nodes)
     n = int(n_nodes)
     C = int(cycles)
     B = len(lanes)

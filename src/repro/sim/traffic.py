@@ -137,10 +137,29 @@ class TrafficSpec:
                     f"hotspot routers {bad} outside [0, {self.n_nodes})"
                 )
 
+    @property
+    def n_routers(self) -> int:
+        """The router count this pattern is sized for: ``rows * cols``
+        for the grid kinds, ``n_nodes`` for the others."""
+        if self.kind in GRID_KINDS:
+            return self.rows * self.cols
+        return self.n_nodes
+
     @cached_property
     def dest_spec(self) -> DestSpec:
         """The destination law as arrays, built on first use."""
         return TRAFFIC_KINDS[self.kind](self)
+
+    def dest_spec_for(self, n_routers: int) -> DestSpec:
+        """:attr:`dest_spec`, refused (``ValueError``) unless the
+        pattern is sized for a network of ``n_routers`` routers.  Both
+        open-loop engines' traces take their destination law here."""
+        if self.n_routers != n_routers:
+            raise ValueError(
+                f"{self.kind} traffic is sized for {self.n_routers} "
+                f"routers, but the network has {n_routers}"
+            )
+        return self.dest_spec
 
     def with_burst(self, burst: Optional[BurstSpec]) -> "TrafficSpec":
         """This pattern modulated by ``burst`` (``None``: stationary)."""

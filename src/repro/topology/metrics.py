@@ -8,9 +8,10 @@
 * **Sparsest cut** — the uniform-demand sparsest cut
   ``min over (U,V)`` of ``cross(U,V) / (|U| * |V|)``, the tightest
   cut-based throughput bound (Jyothi et al. [27]); exhaustively enumerated
-  for n <= 22, every bipartition's crossing counts read off split-half
-  cut tables (each half's crossings tabulated once), heuristic (spectral
-  + Kernighan–Lin refinement with restarts) above.
+  for n <= :data:`EXACT_CUT_LIMIT` (22), every bipartition's crossing
+  counts read off split-half cut tables (each half's crossings
+  tabulated once), heuristic (spectral + Kernighan–Lin refinement with
+  restarts) above.
 
 Throughput bounds (paper II-D, Fig. 7):
 
@@ -23,13 +24,17 @@ Throughput bounds (paper II-D, Fig. 7):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .graph import Topology
 
-_EXHAUSTIVE_LIMIT = 22
+#: Largest router count whose cuts are exact: every bipartition is
+#: enumerated up to here, and the spectral + KL heuristic takes over
+#: above.  The one exact-cut limit; SCOp and the SA sparsest-cut
+#: objective, which need exact cuts, are refused above it.
+EXACT_CUT_LIMIT = 22
 
 #: Masks per block of the exhaustive scan (whole ``hi`` rows of ``2**l``
 #: masks, at least one row): bounds the scan's temporaries.
@@ -100,7 +105,7 @@ def _cut_scan(adj: np.ndarray) -> Tuple[float, np.ndarray, float, np.ndarray]:
     minimum within a block and a strict ``<`` the first across blocks.
     """
     n = adj.shape[0]
-    if n > _EXHAUSTIVE_LIMIT + 4:
+    if n > EXACT_CUT_LIMIT:
         raise ValueError(f"exhaustive cut scan infeasible for n={n}")
     l = n // 2  # ceil((n - 1) / 2)
     h = n - 1 - l
@@ -216,7 +221,8 @@ def _kl_refine(
 def _heuristic_cut(
     adj: np.ndarray, objective: str, restarts: int, seed: int
 ) -> Tuple[float, np.ndarray]:
-    """Spectral seed + KL refinement with random restarts (n > 22 fallback)."""
+    """Spectral seed + KL refinement with random restarts (the fallback
+    above :data:`EXACT_CUT_LIMIT`)."""
     n = adj.shape[0]
     rng = np.random.default_rng(seed)
     sym = ((adj + adj.T) > 0).astype(np.float64)
@@ -337,13 +343,12 @@ class CutResult:
 
 
 def sparsest_cut(
-    topo: Topology, exact: Optional[bool] = None, restarts: int = 32, seed: int = 0
+    topo: Topology, restarts: int = 32, seed: int = 0
 ) -> CutResult:
-    """Uniform-demand sparsest cut ``min cross(U,V)/(|U||V|)``."""
+    """Uniform-demand sparsest cut ``min cross(U,V)/(|U||V|)``: exact up
+    to :data:`EXACT_CUT_LIMIT` routers, heuristic above."""
     n = topo.n
-    if exact is None:
-        exact = n <= _EXHAUSTIVE_LIMIT
-    if exact:
+    if n <= EXACT_CUT_LIMIT:
         val, memb, _, _ = _cut_scan(topo.adj)
         return CutResult(val, memb, True)
     if n > _KL_LIMIT:
@@ -354,19 +359,18 @@ def sparsest_cut(
 
 
 def bisection_bandwidth(
-    topo: Topology, exact: Optional[bool] = None, restarts: int = 32, seed: int = 0
+    topo: Topology, restarts: int = 32, seed: int = 0
 ) -> int:
     """Minimum directed links crossing any balanced bipartition.
 
     Matches Table II's 'Bi. BW' column (reported instead of sparsest cut
-    for comparability with prior work).  Requires even n.
+    for comparability with prior work).  Requires even n.  Exact up to
+    :data:`EXACT_CUT_LIMIT` routers, heuristic above.
     """
     n = topo.n
     if n % 2:
         raise ValueError("bisection undefined for odd router counts")
-    if exact is None:
-        exact = n <= _EXHAUSTIVE_LIMIT
-    if exact:
+    if n <= EXACT_CUT_LIMIT:
         _, _, val, _ = _cut_scan(topo.adj)
     elif n > _KL_LIMIT:
         val, _ = _sweep_cut(topo.adj, "bisection", seed)
@@ -379,7 +383,7 @@ def bisection_bandwidth(
 # Throughput bounds (paper II-D / Fig. 7 solid lines)
 # ---------------------------------------------------------------------------
 
-def cut_throughput_bound(topo: Topology, **kw) -> float:
+def cut_throughput_bound(topo: Topology) -> float:
     """Saturation injection bound from the sparsest cut, flits/node/cycle.
 
     Under uniform all-to-all traffic at per-node injection rate ``x``,
@@ -388,7 +392,7 @@ def cut_throughput_bound(topo: Topology, **kw) -> float:
     ``cross(U, V)`` flits/cycle.  The bound is the minimum over cuts:
     ``x_max = (n-1) * sparsest_cut_value``.
     """
-    return (topo.n - 1) * sparsest_cut(topo, **kw).value
+    return (topo.n - 1) * sparsest_cut(topo).value
 
 
 def occupancy_throughput_bound(topo: Topology) -> float:
@@ -404,9 +408,9 @@ def occupancy_throughput_bound(topo: Topology) -> float:
     return topo.num_directed_links / (topo.n * h)
 
 
-def saturation_bound(topo: Topology, **kw) -> float:
+def saturation_bound(topo: Topology) -> float:
     """The tighter of the cut and occupancy bounds (flits/node/cycle)."""
-    return min(cut_throughput_bound(topo, **kw), occupancy_throughput_bound(topo))
+    return min(cut_throughput_bound(topo), occupancy_throughput_bound(topo))
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +461,18 @@ class TopologyMetrics:
         )
 
 
-def summarize(topo: Topology, **cut_kw) -> TopologyMetrics:
+def summarize(topo: Topology) -> TopologyMetrics:
     """Compute the full Table II metric row for a topology.
 
     Exact cuts of an even router count take both cut columns from one
     scan; otherwise each column comes from its own function.
     """
-    exact = cut_kw.get("exact")
-    if exact is None:
-        exact = topo.n <= _EXHAUSTIVE_LIMIT
-    if exact and topo.n % 2 == 0:
+    if topo.n <= EXACT_CUT_LIMIT and topo.n % 2 == 0:
         sparsest, _, balanced, _ = _cut_scan(topo.adj)
         bisection = int(round(balanced))
     else:
-        bisection = bisection_bandwidth(topo, **cut_kw)
-        sparsest = sparsest_cut(topo, **cut_kw).value
+        bisection = bisection_bandwidth(topo)
+        sparsest = sparsest_cut(topo).value
     return TopologyMetrics(
         name=topo.name,
         num_links=topo.num_links,

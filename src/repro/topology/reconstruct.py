@@ -228,7 +228,6 @@ def reconstruct(
     seed: int = 0,
     restarts: int = 4,
     initial: Optional[Sequence[Tuple[int, int]]] = None,
-    exact_bisection: Optional[bool] = None,
 ) -> Tuple[List[Tuple[int, int]], float]:
     """Search for a topology matching a published metric signature.
 
@@ -242,15 +241,15 @@ def reconstruct(
         return _signature_cost(t, sig, masks)
 
     def verified_cost(edges: Sequence[Tuple[int, int]]) -> float:
-        """Residual with the *exact* bisection (sampled one is an upper
-        bound, so re-check candidates that look like matches)."""
+        """Residual with the full bisection (the sampled one is an upper
+        bound, so re-check candidates that look like matches): exact up
+        to ``EXACT_CUT_LIMIT`` routers, heuristic above."""
         t = Topology.from_undirected(layout, edges)
         h = average_hops(t)
         resid = abs(h - sig.avg_hops) * 100.0
         resid += abs(diameter(t) - sig.diameter) * 10.0
         resid += abs(len(list(edges)) - sig.num_links) * 50.0
-        use_exact = exact_bisection if exact_bisection is not None else layout.n <= 22
-        resid += abs(bisection_bandwidth(t, exact=use_exact) - sig.bisection_bw) * 10.0
+        resid += abs(bisection_bandwidth(t) - sig.bisection_bw) * 10.0
         return resid
 
     best_edges, best_cost = None, float("inf")

@@ -247,7 +247,7 @@ class TestRunnerBatch:
                 r.curves([clean, replace(clean, faults=faults)])
             with pytest.raises(EngineError, match="fault"):
                 r.saturations([SaturationJob(
-                    table=table, traffic=clean.traffic, name="ft",
+                    table=table, traffic=clean.traffic,
                     faults=faults, **self.BUDGET,
                 )])
             assert r.health.tasks == 0

@@ -75,4 +75,4 @@ class TestThroughputBounds:
 
         ft = folded_torus(LAYOUT_4X5)
         tb = throughput_bounds(ft, ndbt_route(ft, seed=0))
-        assert tb.cut_bound == pytest.approx(19 * sparsest_cut(ft, exact=True).value)
+        assert tb.cut_bound == pytest.approx(19 * sparsest_cut(ft).value)

@@ -9,6 +9,7 @@ from mclb_lp_oracle import mclb_route_multipath
 from repro.cli import TRAFFIC_CHOICES, main
 from repro.core import mclb_route
 from repro.milp import MAXIMIZE, Model, quicksum
+from repro.sim.burst import BURST_KINDS
 from repro.topology import LAYOUT_4X5, Layout, Topology, folded_torus, save
 
 
@@ -219,6 +220,16 @@ class TestCLI:
                   "--no-cache", "--out-dir", "", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_simulate_help_names_every_burst_kind(self, capsys):
+        """``--burst`` help lists the kinds ``parse_burst`` accepts and
+        its sixth field."""
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        # argparse wraps the help, splitting long tokens anywhere.
+        text = "".join(capsys.readouterr().out.split())
+        for word in BURST_KINDS + ("alpha",):
+            assert word in text, word
 
     def test_ns_spec(self, capsys):
         assert main(["evaluate", "ns:latop:medium"]) == 0

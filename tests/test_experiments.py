@@ -80,12 +80,12 @@ class TestRegistry:
 
 class TestTable2:
     def test_rows_have_paper_references(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+        rows = table2(20, link_classes=("medium",))
         refd = [r for r in rows if r.paper is not None]
         assert refd, "at least FoldedTorus must match a published row"
 
     def test_folded_torus_exact_match(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+        rows = table2(20, link_classes=("medium",))
         ft = next(r for r in rows if r.measured.name == "FoldedTorus")
         links, diam, hops, bw = ft.paper
         assert ft.measured.num_links == links
@@ -94,7 +94,7 @@ class TestTable2:
         assert ft.measured.bisection_bw == bw
 
     def test_format_table_contains_header(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+        rows = table2(20, link_classes=("medium",))
         text = format_table(rows, 20)
         assert "Table II (20 routers)" in text
         assert "FoldedTorus" in text
@@ -113,7 +113,7 @@ class TestFig1:
 
 class TestFig4:
     def test_render_contains_cut(self):
-        res = fig4_render(20, allow_generate=False)
+        res = fig4_render(20)
         assert "sparsest cut value" in res.rendering
         u, v = res.cut.partition
         assert len(u) + len(v) == 20
@@ -138,13 +138,13 @@ class TestFig5:
 
 class TestFig9:
     def test_rows_normalized_to_mesh(self):
-        rows = fig9_rows(link_classes=("medium",), allow_generate=False)
+        rows = fig9_rows(link_classes=("medium",))
         assert rows
         for r in rows:
             assert r.normalized["static_power"] == pytest.approx(1.0, rel=0.4)
 
     def test_ns_large_vs_small_dynamic_below_one(self):
-        rows = fig9_rows(allow_generate=False)
+        rows = fig9_rows()
         ratio = ns_large_vs_small_dynamic(rows)
         if not math.isnan(ratio):
             assert ratio < 1.0  # large runs at a slower clock

@@ -409,3 +409,26 @@ def test_robustness_grid_refused_on_turbo_runner():
         health = runner.health
     assert health.tasks <= 1  # the Mesh routing task, unless memoized
     assert health.retries == 0 and health.quarantined == 0
+
+
+def test_artifacts_survive_a_doc_that_fails_to_encode(tmp_path):
+    """A rewrite whose doc cannot be encoded leaves every previous
+    artifact (``ranking.json`` included) byte for byte and no temp file
+    behind: each file is encoded before it is touched, then replaced."""
+    from repro.experiments.robustness import (
+        RobustnessResult,
+        ScenarioCell,
+        _write_artifacts,
+    )
+
+    def result(lost):
+        cell = ScenarioCell("Mesh", "link", "uniform", 0.3, 0.2, 0.1, 0.9,
+                            lost, 100)
+        return RobustnessResult(cells=[cell], config={"seed": 0})
+
+    _write_artifacts(str(tmp_path), result(1))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "ranking.json" in before
+    with pytest.raises(TypeError):
+        _write_artifacts(str(tmp_path), result(object()))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

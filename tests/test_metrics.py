@@ -19,6 +19,7 @@ from repro.topology import (
     hop_histogram,
     link_length_histogram,
     mesh,
+    metrics,
     occupancy_throughput_bound,
     saturation_bound,
     sparsest_cut,
@@ -86,12 +87,12 @@ class TestCuts:
         # 1x4 path: sparsest cut splits in the middle: 1 edge / (2*2)
         lay = Layout(rows=1, cols=4)
         t = Topology.from_undirected(lay, [(0, 1), (1, 2), (2, 3)])
-        cut = sparsest_cut(t, exact=True)
+        cut = sparsest_cut(t)
         assert cut.value == pytest.approx(1 / 4)
         assert cut.exact
 
     def test_sparsest_cut_partition_valid(self, ft20):
-        cut = sparsest_cut(ft20, exact=True)
+        cut = sparsest_cut(ft20)
         u, v = cut.partition
         assert len(u) + len(v) == 20
         assert set(u).isdisjoint(v)
@@ -103,24 +104,24 @@ class TestCuts:
             lay,
             [(0, 1), (1, 0), (0, 2), (2, 3), (3, 2), (3, 1), (1, 3), (2, 0)],
         )
-        cut = sparsest_cut(t, exact=True)
+        cut = sparsest_cut(t)
         assert cut.value > 0  # computes without error; min-direction logic
 
     def test_heuristic_close_to_exact_on_20(self, ft20):
-        exact = sparsest_cut(ft20, exact=True).value
-        heur = sparsest_cut(ft20, exact=False, restarts=24, seed=1).value
+        exact = sparsest_cut(ft20).value
+        heur, _ = metrics._heuristic_cut(ft20.adj, "sparsest", 24, 1)
         assert heur >= exact - 1e-12  # heuristic can only overestimate
         assert heur <= exact * 1.5 + 1e-9
 
     def test_heuristic_bisection_close(self, ft20):
-        exact = bisection_bandwidth(ft20, exact=True)
-        heur = bisection_bandwidth(ft20, exact=False, restarts=24, seed=1)
-        assert heur >= exact
+        exact = bisection_bandwidth(ft20)
+        heur, _ = metrics._heuristic_cut(ft20.adj, "bisection", 24, 1)
+        assert int(round(heur)) >= exact
 
 
 class TestBounds:
     def test_cut_bound_formula(self, ft20):
-        cut = sparsest_cut(ft20, exact=True)
+        cut = sparsest_cut(ft20)
         assert cut_throughput_bound(ft20) == pytest.approx(19 * cut.value)
 
     def test_occupancy_bound_formula(self, ft20):
@@ -202,6 +203,6 @@ def test_property_sparsest_cut_le_scaled_bisection(data):
     t = _random_connected(data)
     if t.n % 2:
         return
-    sc = sparsest_cut(t, exact=True).value
-    bb = bisection_bandwidth(t, exact=True)
+    sc = sparsest_cut(t).value
+    bb = bisection_bandwidth(t)
     assert sc <= bb / (t.n / 2) ** 2 + 1e-12

@@ -82,7 +82,7 @@ class TestAnnealTopology:
         cfg = NetSmithConfig(layout=TINY, link_class="small", radix=3)
         res = anneal_topology(cfg, objective="sparsest_cut", steps=300, seed=1)
         assert res.objective == pytest.approx(
-            sparsest_cut(res.topology, exact=True).value
+            sparsest_cut(res.topology).value
         )
 
     def test_sparsest_cut_large_n_rejected(self):

@@ -95,7 +95,7 @@ def test_occupancy_bound_vs_routed_bound(t):
 @settings(**COMMON)
 @given(t=connected_topologies())
 def test_cut_value_positive_for_connected(t):
-    assert sparsest_cut(t, exact=True).value > 0
+    assert sparsest_cut(t).value > 0
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

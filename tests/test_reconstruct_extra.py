@@ -19,7 +19,7 @@ class TestBisectionEstimator:
         ft = folded_torus(LAYOUT_4X5)
         masks = _balanced_cut_samples(20, LAYOUT_4X5, count=64, seed=0)
         est = _estimate_bisection(ft.adj, masks)
-        assert est >= bisection_bandwidth(ft, exact=True)
+        assert est >= bisection_bandwidth(ft)
 
     def test_geometric_cuts_included(self):
         """The horizontal split (the usual true bisection on grids) is in
@@ -27,7 +27,7 @@ class TestBisectionEstimator:
         ft = folded_torus(LAYOUT_4X5)
         masks = _balanced_cut_samples(20, LAYOUT_4X5, count=0, seed=0)
         est = _estimate_bisection(ft.adj, masks)
-        assert est == bisection_bandwidth(ft, exact=True)  # 10, via row cut
+        assert est == bisection_bandwidth(ft)  # 10, via row cut
 
     def test_masks_are_balanced(self):
         masks = _balanced_cut_samples(20, LAYOUT_4X5, count=32, seed=1)

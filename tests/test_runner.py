@@ -390,7 +390,7 @@ def test_parallel_saturation_identical_to_serial(table, tmp_path):
     runner = Runner(parallel=2, cache_dir=str(tmp_path))
     [sat] = runner.saturations([
         SaturationJob(
-            table=table, traffic=TrafficSpec.uniform(6), name="mesh2x3",
+            table=table, traffic=TrafficSpec.uniform(6),
             warmup=80, measure=200, seed=0,
         )
     ])
@@ -584,8 +584,7 @@ def test_no_runner_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     recovery_grid(topologies=("Mesh",), workloads=("blackscholes",))
-    fig6_curves(link_classes=("small",), warmup=150, measure=400,
-                allow_generate=False)
+    fig6_curves(link_classes=("small",), warmup=150, measure=400)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -26,7 +26,7 @@ class TestSCOp:
 
     def test_objective_is_true_sparsest_cut(self, scop_tiny):
         gen, _ = scop_tiny
-        actual = sparsest_cut(gen.topology, exact=True).value
+        actual = sparsest_cut(gen.topology).value
         assert gen.objective == pytest.approx(actual)
 
     def test_valid_topology(self, scop_tiny):
@@ -50,7 +50,7 @@ class TestSCOp:
         res = h.model.solve(time_limit=20)
         assert res.ok
         exhaustive_topo = h.extract_topology(res)
-        exhaustive_b = sparsest_cut(exhaustive_topo, exact=True).value
+        exhaustive_b = sparsest_cut(exhaustive_topo).value
         assert lazy.objective == pytest.approx(exhaustive_b, abs=1e-6)
 
     def test_too_large_raises(self):

@@ -291,7 +291,7 @@ class TestBfsPolicy:
     def test_codec_roundtrip_through_worker(self):
         topo = _sa_topology(4, 5, seed=6)
         topo.link_class = "medium"
-        payload = _tasks.routing_payload(topo, policy="bfs", seed=0, max_vcs=8)
+        payload = _tasks.routing_payload(topo, policy="bfs", seed=0)
         doc = _tasks.routing_task(payload)
         assert doc["format"] == "csr"
         table = _tasks.decode_table(doc)

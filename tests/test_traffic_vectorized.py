@@ -355,3 +355,40 @@ def test_pattern_without_dest_spec_rejected():
     construction."""
     with pytest.raises(ValueError, match="unknown traffic kind 'custom'"):
         TrafficSpec("custom", n_nodes=20)
+
+
+def test_router_count_of_every_kind():
+    """A pattern's router count: ``rows * cols`` for the grid kinds,
+    ``n_nodes`` for the others."""
+    for pat in all_patterns(LAYOUT_4X5):
+        assert pat.n_routers == 20, pat.kind
+
+
+@pytest.fixture(scope="module")
+def mesh20_table():
+    from repro.experiments.registry import NDBT, routed_table
+    from repro.topology import expert_topology
+
+    return routed_table(expert_topology("Mesh", 20), NDBT)
+
+
+@pytest.mark.parametrize("engine", ["fast", "turbo"])
+@pytest.mark.parametrize("pat,sized_for", [
+    (shuffle_pattern(16), 16),
+    (memory_traffic(Layout(2, 3)), 6),
+    (uniform_random(16), 16),
+], ids=["shuffle16", "memory2x3", "uniform16"])
+def test_traffic_sized_for_another_network_refused(mesh20_table, pat,
+                                                   sized_for, engine):
+    """Neither open-loop engine runs a pattern sized for another router
+    count: not by an IndexError inside the trace, nor silently over a
+    subset of the routers."""
+    from repro.sim import run_point
+
+    with pytest.raises(ValueError) as exc:
+        run_point(mesh20_table, pat, 0.05, warmup=50, measure=100,
+                  engine=engine)
+    assert str(exc.value) == (
+        f"{pat.kind} traffic is sized for {sized_for} routers, but the "
+        "network has 20"
+    )
